@@ -13,13 +13,14 @@ not-applicable, never as passes.
 """
 from __future__ import annotations
 
+import functools
 import random
 import string
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from itertools import islice
-from typing import Iterator, Mapping, Sequence
+from itertools import chain, combinations, islice
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import game as game_mod
 from .indices import Index, rewards
@@ -116,10 +117,6 @@ def _pass(axiom: str, index: Index, detail: str = "") -> AxiomVerdict:
 
 def _fail(axiom: str, index: Index, witness: Mapping, detail: str = "") -> AxiomVerdict:
     return AxiomVerdict(axiom, index.name, Status.FAIL, witness, detail)
-
-
-def _na(axiom: str, index: Index, detail: str) -> AxiomVerdict:
-    return AxiomVerdict(axiom, index.name, Status.NOT_APPLICABLE, None, detail)
 
 
 # -- single-premise checks ----------------------------------------------
@@ -237,57 +234,33 @@ def check_equal_global_impact(index: Index, problem: StreamingProblem,
 def check_reasonable_lower_bound(index: Index, problem: StreamingProblem,
                                  coalition: Sequence[str]) -> AxiomVerdict:
     """Artists reached by a user group must collect at least the group's fees."""
-    users = list(dict.fromkeys(coalition))
+    users = sorted(dict.fromkeys(coalition))
     if not users:
         raise PremiseViolated("the user coalition must be nonempty")
     reached: set[str] = set()
     for user in users:
         reached |= problem.listened_set(user)
-    payout = rewards(problem, index(problem))
-    amount = sum((payout[a] for a in reached), Fraction(0))
+    # Summing scores and scaling once gives the same exact amount as summing
+    # ``rewards`` over the reached artists, without building the allocation.
+    values = index(problem)
+    amount = sum(values[a] for a in reached) * problem.revenue / values.total
     floor = len(users) * problem.fee
     if amount >= floor:
         return _pass(REASONABLE_LOWER_BOUND, index)
     witness = {
         "problem": problem_to_dict(problem),
-        "coalition": sorted(users),
+        "coalition": users,
         "reached_amount": str(amount),
         "floor": str(floor),
     }
     return _fail(REASONABLE_LOWER_BOUND, index, witness,
-                 f"artists reached by {sorted(users)} collect {amount} < {floor}")
+                 f"artists reached by {users} collect {amount} < {floor}")
 
 
 def check_reasonable_lower_bound_all(index: Index,
                                      problem: StreamingProblem) -> AxiomVerdict:
     """Exhaust every nonempty user coalition; return the first shortfall."""
-    m = problem.user_count
-    payout = rewards(problem, index(problem))
-    amounts = dict(zip(problem.artists, payout.amounts))
-    masks = [game_mod.listened_mask(problem, u) for u in problem.users]
-    for mask in range(1, 1 << m):
-        reached = 0
-        size = 0
-        for j in range(m):
-            if mask >> j & 1:
-                reached |= masks[j]
-                size += 1
-        amount = Fraction(0)
-        for i, artist in enumerate(problem.artists):
-            if reached >> i & 1:
-                amount += amounts[artist]
-        if amount < size * problem.fee:
-            coalition = [problem.users[j] for j in range(m) if mask >> j & 1]
-            witness = {
-                "problem": problem_to_dict(problem),
-                "coalition": coalition,
-                "reached_amount": str(amount),
-                "floor": str(size * problem.fee),
-            }
-            return _fail(REASONABLE_LOWER_BOUND, index, witness,
-                         f"artists reached by {coalition} collect {amount} "
-                         f"< {size * problem.fee}")
-    return _pass(REASONABLE_LOWER_BOUND, index)
+    return evaluate_axiom(index, REASONABLE_LOWER_BOUND, problem)
 
 
 def check_click_fraud_proofness(index: Index, problem: StreamingProblem,
@@ -342,122 +315,39 @@ def check_core_selection(index: Index, problem: StreamingProblem) -> AxiomVerdic
 
 # -- exhaustive per-instance evaluation ----------------------------------
 
-def _proportional_factors(row: Sequence[int], row2: Sequence[int]) -> list[Fraction]:
-    """All factors lam with row == lam * row2.
+def _proportional_pairs(problem: StreamingProblem, rng: random.Random) -> Iterator[tuple]:
+    """Every (artist, other, lam) with the artist's row equal to lam times the other's.
 
     When both rows are zero any factor qualifies; a fixed sample including
     a factor other than one keeps the check meaningful in that case.
     """
-    if not any(row2):
-        if not any(row):
-            return [Fraction(0), Fraction(1), Fraction(2)]
-        return []
-    if not any(row):
-        return [Fraction(0)]
-    pivot = next(j for j, c in enumerate(row2) if c)
-    lam = Fraction(row[pivot], row2[pivot])
-    if all(c == lam * c2 for c, c2 in zip(row, row2)):
-        return [lam]
-    return []
-
-
-def _eval_homogeneity(index: Index, problem: StreamingProblem,
-                      rng: random.Random) -> AxiomVerdict:
-    found = 0
-    for artist in problem.artists:
-        row = problem.streams[problem.artist_index(artist)]
-        for other in problem.artists:
+    for artist, row in zip(problem.artists, problem.streams):
+        for other, row2 in zip(problem.artists, problem.streams):
             if artist == other:
                 continue
-            row2 = problem.streams[problem.artist_index(other)]
-            for lam in _proportional_factors(row, row2):
-                found += 1
-                verdict = check_homogeneity(index, problem, artist, other, lam)
-                if verdict.failed:
-                    return verdict
-    if not found:
-        return _na(HOMOGENEITY, index, "no proportional artist pair")
-    return _pass(HOMOGENEITY, index, f"{found} proportional pairs checked")
+            if not any(row2):
+                if not any(row):
+                    yield from ((artist, other, Fraction(k)) for k in (0, 1, 2))
+            elif not any(row):
+                yield artist, other, Fraction(0)
+            else:
+                pivot = next(j for j, c in enumerate(row2) if c)
+                lam = Fraction(row[pivot], row2[pivot])
+                if all(c == lam * c2 for c, c2 in zip(row, row2)):
+                    yield artist, other, lam
 
 
-def _eval_additivity(index: Index, problem: StreamingProblem,
-                     rng: random.Random) -> AxiomVerdict:
-    m = problem.user_count
-    if m < 2:
-        return _na(ADDITIVITY, index, "needs at least two users")
-    first = problem.users[0]
-    others = problem.users[1:]
-    checked = 0
-    # Every unordered split is visited once by keeping the first user on
-    # the left side and varying the rest.
-    for mask in range(0, (1 << (m - 1)) - 1):
-        group = [first] + [u for j, u in enumerate(others) if mask >> j & 1]
-        verdict = check_additivity(index, problem, group)
-        checked += 1
-        if verdict.failed:
-            return verdict
-    return _pass(ADDITIVITY, index, f"{checked} splits checked")
+def _equal_count_pairs(problem: StreamingProblem, rng: random.Random) -> Iterator[tuple]:
+    users = problem.users
+    for artist, row in zip(problem.artists, problem.streams):
+        for a, b in combinations(range(len(users)), 2):
+            if row[a] == row[b]:
+                yield artist, users[a], users[b]
 
 
-def _eval_equal_individual_impact(index: Index, problem: StreamingProblem,
-                                  rng: random.Random) -> AxiomVerdict:
-    m = problem.user_count
-    if m < 2:
-        return _na(EQUAL_INDIVIDUAL_IMPACT, index, "needs at least two users")
-    reduced = {u: index(problem.remove_user(u)) for u in problem.users}
-    found = 0
-    for i, artist in enumerate(problem.artists):
-        row = problem.streams[i]
-        for a in range(m):
-            for b in range(a + 1, m):
-                if row[a] != row[b]:
-                    continue
-                found += 1
-                user, other_user = problem.users[a], problem.users[b]
-                left = reduced[user][artist]
-                right = reduced[other_user][artist]
-                if left != right:
-                    witness = {
-                        "problem": problem_to_dict(problem),
-                        "artist": artist,
-                        "user": user,
-                        "other_user": other_user,
-                        "without_user": str(left),
-                        "without_other": str(right),
-                    }
-                    return _fail(EQUAL_INDIVIDUAL_IMPACT, index, witness,
-                                 f"removing {user!r} leaves {left}, "
-                                 f"removing {other_user!r} leaves {right}")
-    if not found:
-        return _na(EQUAL_INDIVIDUAL_IMPACT, index, "no equal-count user pair")
-    return _pass(EQUAL_INDIVIDUAL_IMPACT, index, f"{found} user pairs checked")
-
-
-def _eval_equal_global_impact(index: Index, problem: StreamingProblem,
-                              rng: random.Random) -> AxiomVerdict:
-    m = problem.user_count
-    if m < 2:
-        return _na(EQUAL_GLOBAL_IMPACT, index, "needs at least two users")
-    totals = {u: index(problem.remove_user(u)).total for u in problem.users}
-    baseline_user = problem.users[0]
-    for user in problem.users[1:]:
-        if totals[user] != totals[baseline_user]:
-            witness = {
-                "problem": problem_to_dict(problem),
-                "user": baseline_user,
-                "other_user": user,
-                "sum_without_user": str(totals[baseline_user]),
-                "sum_without_other": str(totals[user]),
-            }
-            return _fail(EQUAL_GLOBAL_IMPACT, index, witness,
-                         f"total without {baseline_user!r} is {totals[baseline_user]}, "
-                         f"without {user!r} it is {totals[user]}")
-    return _pass(EQUAL_GLOBAL_IMPACT, index, f"{m} removals checked")
-
-
-def _eval_reasonable_lower_bound(index: Index, problem: StreamingProblem,
-                                 rng: random.Random) -> AxiomVerdict:
-    return check_reasonable_lower_bound_all(index, problem)
+def _user_subsets(problem: StreamingProblem, masks: range) -> Iterator[tuple]:
+    for mask in masks:
+        yield [u for j, u in enumerate(problem.users) if mask >> j & 1],
 
 
 def _resampled_column(problem: StreamingProblem, user: str,
@@ -476,38 +366,89 @@ def _resampled_column(problem: StreamingProblem, user: str,
     return StreamingProblem(problem.artists, problem.users, streams, problem.fee)
 
 
-def _eval_click_fraud(index: Index, problem: StreamingProblem,
-                      rng: random.Random) -> AxiomVerdict:
-    for user in problem.users:
-        perturbed = _resampled_column(problem, user, rng)
-        verdict = check_click_fraud_proofness(index, problem, perturbed, user)
-        if verdict.failed:
-            return verdict
-    return _pass(CLICK_FRAUD_PROOFNESS, index,
-                 f"{problem.user_count} single-column rewrites checked")
+def reference_fraud_pairs() -> tuple[tuple[StreamingProblem, StreamingProblem, str], ...]:
+    """Fixed one-column rewrites checked alongside random perturbations."""
+    base = new_problem(("1", "2"), ("a", "b"), ((10, 0), (0, 90)))
+    deflated = new_problem(("1", "2"), ("a", "b"), ((10, 0), (0, 2)))
+    return ((base, deflated, "b"),)
 
 
-def _eval_core_selection(index: Index, problem: StreamingProblem,
-                         rng: random.Random) -> AxiomVerdict:
-    return check_core_selection(index, problem)
+@dataclass(frozen=True)
+class _Property:
+    """One fairness property as data.
+
+    ``premises(problem, rng)`` lazily yields every argument tuple the
+    instance supports, in a fixed order, so the first failure and every
+    ``rng`` draw are reproducible.  ``check(index, problem, *args)`` is the
+    public checker, and ``replay(witness)`` rebuilds its arguments from a
+    failed verdict's witness.  ``fixed()`` lists whole argument tuples,
+    problem first, that the matrix checks after the reference problems.
+    """
+
+    premises: Callable[[StreamingProblem, random.Random], Iterable[tuple]]
+    check: Callable[..., AxiomVerdict]
+    replay: Callable[[Mapping], tuple]
+    not_applicable: str
+    fixed: Callable[[], Sequence[tuple]] = tuple
 
 
-_DRIVERS = {
-    HOMOGENEITY: _eval_homogeneity,
-    ADDITIVITY: _eval_additivity,
-    EQUAL_INDIVIDUAL_IMPACT: _eval_equal_individual_impact,
-    EQUAL_GLOBAL_IMPACT: _eval_equal_global_impact,
-    REASONABLE_LOWER_BOUND: _eval_reasonable_lower_bound,
-    CLICK_FRAUD_PROOFNESS: _eval_click_fraud,
-    CORE_SELECTION: _eval_core_selection,
+_PROPERTIES: dict[str, _Property] = {
+    HOMOGENEITY: _Property(
+        _proportional_pairs, check_homogeneity,
+        lambda w: (w["artist"], w["other"], Fraction(w["factor"])),
+        "no proportional artist pair"),
+    # Odd masks keep the first user on the left, so every unordered split
+    # is visited once; the full set is not a split.
+    ADDITIVITY: _Property(
+        lambda problem, rng: _user_subsets(problem, range(1, (1 << problem.user_count) - 1, 2)),
+        check_additivity,
+        lambda w: (tuple(w["first_group"]),),
+        "needs at least two users"),
+    EQUAL_INDIVIDUAL_IMPACT: _Property(
+        _equal_count_pairs, check_equal_individual_impact,
+        lambda w: (w["artist"], w["user"], w["other_user"]),
+        "no equal-count user pair"),
+    EQUAL_GLOBAL_IMPACT: _Property(
+        lambda problem, rng: ((problem.users[0], u) for u in problem.users[1:]),
+        check_equal_global_impact,
+        lambda w: (w["user"], w["other_user"]),
+        "needs at least two users"),
+    REASONABLE_LOWER_BOUND: _Property(
+        lambda problem, rng: _user_subsets(problem, range(1, 1 << problem.user_count)),
+        check_reasonable_lower_bound,
+        lambda w: (tuple(w["coalition"]),),
+        "no user coalition"),
+    CLICK_FRAUD_PROOFNESS: _Property(
+        lambda problem, rng: ((_resampled_column(problem, u, rng), u)
+                              for u in problem.users),
+        check_click_fraud_proofness,
+        lambda w: (problem_from_dict(w["perturbed"]), w["user"]),
+        "no user column to rewrite",
+        fixed=reference_fraud_pairs),
+    CORE_SELECTION: _Property(
+        lambda problem, rng: [()], check_core_selection,
+        lambda w: (),
+        "never: the whole problem is the premise"),
 }
 
 
 def evaluate_axiom(index: Index, axiom: str, problem: StreamingProblem,
                    rng: random.Random | None = None) -> AxiomVerdict:
     """Check one property on one instance, exhausting its premise tuples."""
-    driver = _DRIVERS[normalize_axiom(axiom)]
-    return driver(index, problem, rng if rng is not None else random.Random(0))
+    axiom = normalize_axiom(axiom)
+    prop = _PROPERTIES[axiom]
+    # Premise tuples share sub-problems (the whole problem, single-user
+    # removals), so scores are computed once per distinct problem.
+    memo = Index(index.name, functools.cache(index.compute))
+    checked = 0
+    for args in prop.premises(problem, rng if rng is not None else random.Random(0)):
+        checked += 1
+        verdict = prop.check(memo, problem, *args)
+        if verdict.failed:
+            return verdict
+    if not checked:
+        return AxiomVerdict(axiom, index.name, Status.NOT_APPLICABLE, None, prop.not_applicable)
+    return _pass(axiom, index, f"{checked} premise tuples checked")
 
 
 # -- random instances and search -----------------------------------------
@@ -583,13 +524,6 @@ def reference_problems() -> tuple[StreamingProblem, ...]:
             silent_artist, solo_listener)
 
 
-def reference_fraud_pairs() -> tuple[tuple[StreamingProblem, StreamingProblem, str], ...]:
-    """Fixed one-column rewrites checked alongside random perturbations."""
-    base = new_problem(("1", "2"), ("a", "b"), ((10, 0), (0, 90)))
-    deflated = new_problem(("1", "2"), ("a", "b"), ((10, 0), (0, 2)))
-    return ((base, deflated, "b"),)
-
-
 def search_witness(index: Index, axiom: str, generator: ProblemGenerator,
                    budget: int) -> AxiomVerdict:
     """Hunt for a violation over ``budget`` generated instances.
@@ -626,28 +560,22 @@ def axiom_matrix(indices: Sequence[Index],
     axioms = AXIOM_NAMES if axioms is None else tuple(normalize_axiom(a) for a in axioms)
     generator = generator if generator is not None else ProblemGenerator()
     goldens = reference_problems()
-    fraud_pairs = reference_fraud_pairs()
     matrix: dict[tuple[str, str], AxiomVerdict] = {}
     for index in indices:
         for axiom in axioms:
+            prop = _PROPERTIES[axiom]
             rng = random.Random(f"{generator.seed}:{index.name}:{axiom}:golden")
+            references = chain(
+                (evaluate_axiom(index, axiom, problem, rng) for problem in goldens),
+                (prop.check(index, *case) for case in prop.fixed()))
             verdict = None
             examined = 0
-            for problem in goldens:
+            for candidate in references:
                 examined += 1
-                candidate = evaluate_axiom(index, axiom, problem, rng)
                 if candidate.failed:
                     verdict = replace(candidate, instances=examined,
                                       detail=candidate.detail + " (reference instance)")
                     break
-            if verdict is None and axiom == CLICK_FRAUD_PROOFNESS:
-                for base, perturbed, user in fraud_pairs:
-                    examined += 1
-                    candidate = check_click_fraud_proofness(index, base, perturbed, user)
-                    if candidate.failed:
-                        verdict = replace(candidate, instances=examined,
-                                          detail=candidate.detail + " (reference instance)")
-                        break
             if verdict is None and budget > 0:
                 searched = search_witness(index, axiom, generator, budget)
                 verdict = replace(searched, instances=searched.instances + examined)
@@ -673,26 +601,6 @@ def recheck_witness(index: Index, verdict: AxiomVerdict) -> bool:
     """
     if verdict.status is not Status.FAIL or verdict.witness is None:
         return False
-    w = verdict.witness
-    problem = problem_from_dict(w["problem"])
-    axiom = verdict.axiom
-    if axiom == HOMOGENEITY:
-        again = check_homogeneity(index, problem, w["artist"], w["other"],
-                                  Fraction(w["factor"]))
-    elif axiom == ADDITIVITY:
-        again = check_additivity(index, problem, tuple(w["first_group"]))
-    elif axiom == EQUAL_INDIVIDUAL_IMPACT:
-        again = check_equal_individual_impact(index, problem, w["artist"],
-                                              w["user"], w["other_user"])
-    elif axiom == EQUAL_GLOBAL_IMPACT:
-        again = check_equal_global_impact(index, problem, w["user"], w["other_user"])
-    elif axiom == REASONABLE_LOWER_BOUND:
-        again = check_reasonable_lower_bound(index, problem, tuple(w["coalition"]))
-    elif axiom == CLICK_FRAUD_PROOFNESS:
-        again = check_click_fraud_proofness(index, problem,
-                                            problem_from_dict(w["perturbed"]), w["user"])
-    elif axiom == CORE_SELECTION:
-        again = check_core_selection(index, problem)
-    else:
-        raise ValueError(f"unknown axiom {axiom!r}")
-    return again.failed
+    prop = _PROPERTIES[normalize_axiom(verdict.axiom)]
+    problem = problem_from_dict(verdict.witness["problem"])
+    return prop.check(index, problem, *prop.replay(verdict.witness)).failed

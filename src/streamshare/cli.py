@@ -342,7 +342,7 @@ def claims(input_path, input_format, fee, output_mode, precision,
 @cli.command(name="axioms")
 @_output_options
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--budget", type=int, default=100, show_default=True,
+@click.option("--budget", type=click.IntRange(min=0), default=100, show_default=True,
               help="Random instances searched per (index, property) cell.")
 @click.option("--indices", "index_names", default=None,
               help="Comma-separated index names (default: all built-ins).")

@@ -14,6 +14,7 @@ other; any disagreement is a bug, never a judgment call.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -98,6 +99,19 @@ def listened_mask(problem: StreamingProblem, user: str) -> int:
     return mask
 
 
+def _subset_sums(table: list, n: int, combine=operator.add) -> None:
+    """Subset-sum transform over n-bit masks, in place, one bit at a time.
+
+    With ``operator.add`` every entry becomes the sum of the entries of its
+    subsets; with ``operator.sub`` the same pass inverts that (Moebius).
+    """
+    for bit in range(n):
+        step = 1 << bit
+        for mask in range(1 << n):
+            if mask & step:
+                table[mask] = combine(table[mask], table[mask ^ step])
+
+
 def streaming_game(problem: StreamingProblem) -> CoalitionalGame:
     """Build the coalition-worth table for a streaming problem.
 
@@ -112,11 +126,7 @@ def streaming_game(problem: StreamingProblem) -> CoalitionalGame:
     counts = [0] * (1 << n)
     for user in problem.users:
         counts[listened_mask(problem, user)] += 1
-    for bit in range(n):
-        step = 1 << bit
-        for mask in range(1 << n):
-            if mask & step:
-                counts[mask] += counts[mask ^ step]
+    _subset_sums(counts, n)
     return CoalitionalGame(problem.artists, tuple(c * problem.fee for c in counts))
 
 
@@ -182,12 +192,7 @@ class DividendTable:
 def harsanyi_dividends(game: CoalitionalGame) -> DividendTable:
     """Invert the subset-sum relation between worths and dividends."""
     table = list(game.values)
-    n = game.player_count
-    for bit in range(n):
-        step = 1 << bit
-        for mask in range(1 << n):
-            if mask & step:
-                table[mask] -= table[mask ^ step]
+    _subset_sums(table, game.player_count, operator.sub)
     return DividendTable(game.players, tuple(table))
 
 
@@ -205,12 +210,7 @@ def reconstruct_from_dividends(
         table = [Fraction(0)] * (1 << len(players))
         for mask, value in dividends.items():
             table[mask] = Fraction(value)
-    n = len(players)
-    for bit in range(n):
-        step = 1 << bit
-        for mask in range(1 << n):
-            if mask & step:
-                table[mask] += table[mask ^ step]
+    _subset_sums(table, len(players))
     return CoalitionalGame(tuple(players), tuple(table))
 
 

@@ -197,6 +197,18 @@ def test_rlb_exhaustive_finds_the_same_coalition(two_user):
     assert verdict.witness["coalition"] == ["a"]
 
 
+def test_rlb_exhaustive_and_single_witnesses_agree():
+    problem = new_problem(["0", "1", "2"], ["z", "a", "b"],
+                          [[2, 2, 1], [2, 1, 5], [0, 5, 0]])
+    exhaustive = check_reasonable_lower_bound_all(SQUARED_STREAMS, problem)
+    assert exhaustive.failed
+    assert exhaustive.witness["coalition"] == ["b", "z"]
+    single = check_reasonable_lower_bound(SQUARED_STREAMS, problem, ["z", "b"])
+    assert single.witness == exhaustive.witness
+    assert single.detail == exhaustive.detail
+    assert recheck_witness(SQUARED_STREAMS, exhaustive)
+
+
 def test_rlb_empty_coalition(two_user):
     with pytest.raises(PremiseViolated):
         check_reasonable_lower_bound(PRO_RATA, two_user, [])

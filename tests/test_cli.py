@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -315,6 +316,23 @@ def test_axioms_runs_are_byte_identical(runner):
     args = ("axioms", "--budget", "25", "--seed", "7",
             "--indices", "user-centric", "-o", "json")
     assert invoke(runner, *args).output == invoke(runner, *args).output
+
+
+def test_axioms_rejects_negative_budget(runner):
+    result = invoke(runner, "axioms", "--budget", "-5")
+    assert result.exit_code == EXIT_INPUT
+    assert "--budget" in result.stderr
+
+
+# Every verdict, witness, detail and instance count of the full matrix at one
+# fixed budget and seed; the digest must hold across commits, not just runs.
+PINNED_MATRIX_SHA256 = "ec9a2ab950cf08a0cdcb050613ba3b0ab8fc27566ca775d73748e95cae83eccf"
+
+
+def test_axioms_matrix_output_is_pinned(runner):
+    result = invoke(runner, "axioms", "--budget", "25", "--seed", "7", "-o", "json")
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.output.encode()).hexdigest() == PINNED_MATRIX_SHA256
 
 
 def test_axioms_table_output(runner):
