@@ -159,18 +159,20 @@ class MultiIssueClaims:
                 raise InvalidProblem("claims must be nonnegative")
         if self.endowment < 0:
             raise InvalidProblem("endowment must be nonnegative")
-        for j, issue in enumerate(self.issues):
-            if self.issue_total(j) == 0:
+        totals = tuple(sum(column) for column in zip(*self.claims))
+        for issue, total in zip(self.issues, totals):
+            if total == 0:
                 raise InvalidProblem(f"issue {issue!r} carries no claims")
-        if sum(self.issue_totals()) < self.endowment:
+        if sum(totals) < self.endowment:
             raise InvalidProblem(
                 f"endowment {self.endowment} exceeds total claims")
+        object.__setattr__(self, "_issue_totals", totals)
 
     def issue_total(self, j: int) -> Fraction:
-        return sum(row[j] for row in self.claims)
+        return self._issue_totals[j]
 
     def issue_totals(self) -> tuple[Fraction, ...]:
-        return tuple(self.issue_total(j) for j in range(len(self.issues)))
+        return self._issue_totals
 
 
 @dataclass(frozen=True)

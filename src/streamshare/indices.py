@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from numbers import Rational
 from typing import Callable, Mapping
 
@@ -55,14 +56,10 @@ class WeightSystem:
 
     def __call__(self, user: str, profile: tuple[int, ...]) -> Fraction:
         value = self.weight(user, profile)
-        if isinstance(value, bool) or not isinstance(value, Rational):
-            raise NonPositiveWeight(
-                f"weight system {self.name!r} returned non-rational {value!r} for user {user!r}")
-        value = Fraction(value)
-        if value <= 0:
-            raise NonPositiveWeight(
-                f"weight system {self.name!r} returned {value} for user {user!r}")
-        return value
+        if isinstance(value, bool) or not isinstance(value, Rational) or value <= 0:
+            raise NonPositiveWeight(f"weight system {self.name!r} returned {value!r} "
+                                    f"for user {user!r}; need a positive rational")
+        return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -81,10 +78,27 @@ class BandedWeightParams:
                 f"need 0 < alpha <= beta, got alpha={self.alpha}, beta={self.beta}")
 
 
+def weighted_index(problem: StreamingProblem, weights: WeightSystem) -> IndexValues:
+    """Score artists by weighted stream counts, one weight per user.
+
+    Artist i scores the sum over users j of ``w_j * count(i, j)``, summed as
+    integers over L = lcm of the weight denominators, then divided by L.
+    """
+    per_user = [weights(u, col) for u, col in zip(problem.users, zip(*problem.streams))]
+    common = lcm(*(w.denominator for w in per_user))
+    scaled = [w.numerator * (common // w.denominator) for w in per_user]
+    return IndexValues(problem.artists, tuple(
+        Fraction(sum(w * c for w, c in zip(scaled, row) if c), common)
+        for row in problem.streams))
+
+
+_UNIT = WeightSystem("unit", lambda user, profile: 1)
+_INVERSE_TOTAL = WeightSystem("inverse-total", lambda user, profile: Fraction(1, sum(profile)))
+
+
 def pro_rata_index(problem: StreamingProblem) -> IndexValues:
     """Score each artist by their total stream count."""
-    scores = tuple(Fraction(sum(row)) for row in problem.streams)
-    return IndexValues(problem.artists, scores)
+    return weighted_index(problem, _UNIT)
 
 
 def user_centric_index(problem: StreamingProblem) -> IndexValues:
@@ -94,20 +108,7 @@ def user_centric_index(problem: StreamingProblem) -> IndexValues:
     streamed in proportion to their own counts, so the scores total the
     number of users.
     """
-    totals = [problem.user_total(u) for u in problem.users]
-    scores = []
-    for row in problem.streams:
-        scores.append(sum((Fraction(c, t) for c, t in zip(row, totals) if c), Fraction(0)))
-    return IndexValues(problem.artists, tuple(scores))
-
-
-def weighted_index(problem: StreamingProblem, weights: WeightSystem) -> IndexValues:
-    """Score artists by weighted stream counts, one weight per user."""
-    per_user = [weights(u, problem.profile(u)) for u in problem.users]
-    scores = []
-    for row in problem.streams:
-        scores.append(sum((w * c for w, c in zip(per_user, row) if c), Fraction(0)))
-    return IndexValues(problem.artists, tuple(scores))
+    return weighted_index(problem, _INVERSE_TOTAL)
 
 
 def banded_weight_system(params: BandedWeightParams) -> WeightSystem:
@@ -134,8 +135,11 @@ def banded_weight_system(params: BandedWeightParams) -> WeightSystem:
 
 
 def table_weight_system(table: Mapping[str, int | str | Fraction]) -> WeightSystem:
-    """Fixed per-user weights looked up from a mapping."""
-    converted = {u: as_rational(w, f"weight for user {u!r}") for u, w in table.items()}
+    """Fixed per-user weights from a mapping; inexact entries raise NonPositiveWeight."""
+    try:
+        converted = {u: as_rational(w, f"weight for user {u!r}") for u, w in table.items()}
+    except TypeError as exc:
+        raise NonPositiveWeight(str(exc)) from None
 
     def weight(user: str, profile: tuple[int, ...]) -> Fraction:
         try:
@@ -181,7 +185,7 @@ def padded_share_index(problem: StreamingProblem) -> IndexValues:
     """
     grand = problem.total_streams
     row_totals = [sum(row) for row in problem.streams]
-    col_totals = [problem.user_total(u) for u in problem.users]
+    col_totals = [sum(col) for col in zip(*problem.streams)]
     scores = []
     for row, rt in zip(problem.streams, row_totals):
         scores.append(sum((Fraction(c + rt, ct + grand) for c, ct in zip(row, col_totals)),
@@ -205,7 +209,7 @@ def stream_share_index(problem: StreamingProblem) -> IndexValues:
 
 def equal_split_index(problem: StreamingProblem) -> IndexValues:
     """Each user splits one unit equally over the artists they streamed."""
-    sizes = [len(problem.listened_set(u)) for u in problem.users]
+    sizes = [len(col) - col.count(0) for col in zip(*problem.streams)]
     scores = []
     for row in problem.streams:
         scores.append(sum((Fraction(1, k) for c, k in zip(row, sizes) if c), Fraction(0)))

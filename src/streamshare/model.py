@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 
 class ModelError(ValueError):
@@ -328,7 +328,43 @@ def split_problem(
 
 
 @dataclass(frozen=True)
-class IndexValues:
+class _ArtistValues:
+    """Base of IndexValues and Allocation: one exact rational per artist.
+
+    ``_field`` names the value field; ``_positive`` forbids an all-zero total.
+    Entries are checked once; ``total`` and an artist lookup dict are stored.
+    """
+
+    artists: tuple[str, ...]
+    _field: ClassVar[str]
+    _positive: ClassVar[bool] = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "artists", tuple(self.artists))
+        values = tuple(v if type(v) is Fraction else as_rational(v, self._field)
+                       for v in getattr(self, self._field))
+        if len(self.artists) != len(values):
+            raise DimensionMismatch(f"one entry of {self._field} per artist required")
+        if any(v < 0 for v in values):
+            raise ModelError(f"{self._field} must be nonnegative")
+        object.__setattr__(self, self._field, values)
+        object.__setattr__(self, "total", sum(values, Fraction(0)))
+        if self._positive and self.total <= 0:
+            raise ModelError(f"{self._field} must not all be zero")
+        object.__setattr__(self, "_position", {a: i for i, a in enumerate(self.artists)})
+
+    def __getitem__(self, artist: str) -> Fraction:
+        try:
+            return getattr(self, self._field)[self._position[artist]]
+        except KeyError:
+            raise UnknownArtist(artist) from None
+
+    def as_dict(self) -> dict[str, Fraction]:
+        return dict(zip(self.artists, getattr(self, self._field)))
+
+
+@dataclass(frozen=True)
+class IndexValues(_ArtistValues):
     """Nonnegative per-artist scores produced by an allocation index.
 
     Scores are meaningful only up to positive scaling; :func:`indices.rewards`
@@ -336,28 +372,9 @@ class IndexValues:
     normalization is defined.
     """
 
-    artists: tuple[str, ...]
     scores: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "artists", tuple(self.artists))
-        object.__setattr__(self, "scores", tuple(Fraction(s) for s in self.scores))
-        if len(self.artists) != len(self.scores):
-            raise DimensionMismatch("one score per artist required")
-        if any(s < 0 for s in self.scores):
-            raise ModelError("index scores must be nonnegative")
-        if sum(self.scores) <= 0:
-            raise ModelError("index scores must not all be zero")
-
-    def __getitem__(self, artist: str) -> Fraction:
-        try:
-            return self.scores[self.artists.index(artist)]
-        except ValueError:
-            raise UnknownArtist(artist) from None
-
-    @property
-    def total(self) -> Fraction:
-        return sum(self.scores, Fraction(0))
+    _field = "scores"
+    _positive = True
 
     def scaled(self, factor: int | str | Fraction) -> "IndexValues":
         """The same scores multiplied by a positive rational factor."""
@@ -366,12 +383,9 @@ class IndexValues:
             raise ModelError("scale factor must be positive")
         return IndexValues(self.artists, tuple(lam * s for s in self.scores))
 
-    def as_dict(self) -> dict[str, Fraction]:
-        return dict(zip(self.artists, self.scores))
-
 
 @dataclass(frozen=True)
-class Allocation:
+class Allocation(_ArtistValues):
     """A division of the platform's revenue among the artists.
 
     Entries are nonnegative exact rationals.  For an allocation produced by
@@ -379,29 +393,8 @@ class Allocation:
     (user count times fee).
     """
 
-    artists: tuple[str, ...]
     amounts: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "artists", tuple(self.artists))
-        object.__setattr__(self, "amounts", tuple(Fraction(a) for a in self.amounts))
-        if len(self.artists) != len(self.amounts):
-            raise DimensionMismatch("one amount per artist required")
-        if any(a < 0 for a in self.amounts):
-            raise ModelError("allocation amounts must be nonnegative")
-
-    def __getitem__(self, artist: str) -> Fraction:
-        try:
-            return self.amounts[self.artists.index(artist)]
-        except ValueError:
-            raise UnknownArtist(artist) from None
-
-    @property
-    def total(self) -> Fraction:
-        return sum(self.amounts, Fraction(0))
-
-    def as_dict(self) -> dict[str, Fraction]:
-        return dict(zip(self.artists, self.amounts))
+    _field = "amounts"
 
 
 # -- serialization -----------------------------------------------------

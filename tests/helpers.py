@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from streamshare import StreamingProblem, new_problem
+from streamshare import IndexValues, StreamingProblem, WeightSystem, new_problem
 
 
 def two_user_problem(fee: int | Fraction = 1) -> StreamingProblem:
@@ -68,3 +68,31 @@ def resampled_column(
         for i, row in enumerate(problem.streams)
     )
     return StreamingProblem(problem.artists, problem.users, streams, problem.fee)
+
+
+# -- reference index loops ---------------------------------------------------
+#
+# The per-user Fraction loops that computed pro-rata, user-centric and the
+# weighted family before they shared one common-denominator kernel.  Kept
+# unchanged as the reference for the differential test of that kernel.
+
+
+def reference_pro_rata_index(problem: StreamingProblem) -> IndexValues:
+    scores = tuple(Fraction(sum(row)) for row in problem.streams)
+    return IndexValues(problem.artists, scores)
+
+
+def reference_user_centric_index(problem: StreamingProblem) -> IndexValues:
+    totals = [problem.user_total(u) for u in problem.users]
+    scores = []
+    for row in problem.streams:
+        scores.append(sum((Fraction(c, t) for c, t in zip(row, totals) if c), Fraction(0)))
+    return IndexValues(problem.artists, tuple(scores))
+
+
+def reference_weighted_index(problem: StreamingProblem, weights: WeightSystem) -> IndexValues:
+    per_user = [weights(u, problem.profile(u)) for u in problem.users]
+    scores = []
+    for row in problem.streams:
+        scores.append(sum((w * c for w, c in zip(per_user, row) if c), Fraction(0)))
+    return IndexValues(problem.artists, tuple(scores))

@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import streamshare
 from streamshare.cli import EXIT_INPUT, EXIT_INTERNAL, cli
 from streamshare.game import FlowCoreResult
 
@@ -93,6 +98,21 @@ def test_allocate_weights_file_missing_user(runner, two_user_csv, tmp_path):
     result = invoke(runner, "allocate", "-i", two_user_csv,
                     "--method", "weighted-file", "--weights-file", str(weights))
     assert result.exit_code == EXIT_INPUT
+
+
+def test_allocate_weights_file_float_is_bad_input(two_user_csv, tmp_path):
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps({"a": 0.5, "b": 1}))
+    src = str(Path(streamshare.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run(
+        [sys.executable, "-m", "streamshare.cli", "allocate", "-i", two_user_csv,
+         "--method", "weighted-file", "--weights-file", str(weights)],
+        capture_output=True, text=True, env=env)
+    assert result.returncode == EXIT_INPUT
+    assert "Traceback" not in result.stdout + result.stderr
+    assert "weight for user 'a'" in result.stderr
 
 
 def test_allocate_fee_override(runner, two_user_csv):

@@ -33,6 +33,12 @@ from streamshare import (
 )
 from streamshare.axioms import ProblemGenerator
 
+from helpers import (
+    reference_pro_rata_index,
+    reference_user_centric_index,
+    reference_weighted_index,
+)
+
 F = Fraction
 
 
@@ -90,6 +96,34 @@ def test_inverse_total_weights_reduce_to_user_centric():
     inv = WeightSystem("inverse", lambda user, profile: F(1, sum(profile)))
     for problem in ProblemGenerator(seed=6).sample(40):
         assert weighted_index(problem, inv).as_dict() == USER_CENTRIC(problem).as_dict()
+
+
+def _sparse_problem_with_silent_artists(seed: int):
+    """A seeded 40 x 300 matrix in which every fifth artist has no streams."""
+    rng = random.Random(seed)
+    n, m = 40, 300
+    streams = [[0] * m for _ in range(n)]
+    played = [i for i in range(n) if i % 5]
+    for j in range(m):
+        for i in rng.sample(played, rng.randint(1, 4)):
+            streams[i][j] = rng.randint(1, 50)
+    return new_problem([f"a{i}" for i in range(n)], [f"u{j}" for j in range(m)], streams)
+
+
+def test_weighted_kernel_matches_reference_loops():
+    rng = random.Random(17)
+    banded = banded_weight_system(BandedWeightParams(20, 60))
+    problems = ProblemGenerator(seed=21, max_artists=7, max_users=9,
+                                max_streams=40).sample(150)
+    big = _sparse_problem_with_silent_artists(22)
+    assert any(sum(row) == 0 for row in big.streams)
+    for problem in problems + [big]:
+        table = table_weight_system(
+            {u: F(rng.randint(1, 12), rng.randint(1, 12)) for u in problem.users})
+        assert PRO_RATA(problem) == reference_pro_rata_index(problem)
+        assert USER_CENTRIC(problem) == reference_user_centric_index(problem)
+        for ws in (banded, table):
+            assert weighted_index(problem, ws) == reference_weighted_index(problem, ws)
 
 
 def test_weight_system_must_be_positive_and_exact():

@@ -325,6 +325,13 @@ def test_allocation_unknown_artist():
         a["2"]
 
 
+@pytest.mark.parametrize("container", [IndexValues, Allocation])
+@pytest.mark.parametrize("bad", [0.1, 1.0, True])
+def test_containers_reject_inexact_entries(container, bad):
+    with pytest.raises(TypeError):
+        container(("1",), (bad,))
+
+
 # -- serialization ------------------------------------------------------------
 
 
