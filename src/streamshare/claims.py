@@ -10,6 +10,7 @@ ration each issue's award across agents.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -29,10 +30,23 @@ class WeightContractViolated(ValueError):
 def _rational_tuple(values: Sequence, what: str) -> tuple[Fraction, ...]:
     out = []
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, str, Rational)):
+        kind = type(v)
+        if kind is not Fraction and kind is not int and (
+                kind is bool or not isinstance(v, (str, Rational))):
             raise InvalidProblem(f"{what} must be exact rationals, got {v!r}")
-        out.append(Fraction(v))
+        out.append(v if kind is Fraction else Fraction(v))
     return tuple(out)
+
+
+def _exact_sum(values) -> Fraction:
+    """Sum rationals as integers over the lcm of their denominators.
+
+    Adding Fractions one at a time reduces by a gcd at every step; summing
+    numerators over one common denominator reduces once, at the end.
+    """
+    pairs = [v.as_integer_ratio() for v in values]
+    common = math.lcm(*(d for _, d in pairs))
+    return Fraction(sum(n * (common // d) for n, d in pairs), common)
 
 
 @dataclass(frozen=True)
@@ -53,22 +67,25 @@ class BankruptcyProblem:
             raise InvalidProblem("duplicate agent identifier")
         if len(self.claims) != len(self.agents):
             raise InvalidProblem("one claim per agent required")
-        if any(c < 0 for c in self.claims):
+        if any(c.numerator < 0 for c in self.claims):
             raise InvalidProblem("claims must be nonnegative")
         if self.endowment < 0:
             raise InvalidProblem("endowment must be nonnegative")
-        if sum(self.claims) < self.endowment:
+        total = _exact_sum(self.claims)
+        if total < self.endowment:
             raise InvalidProblem(
-                f"endowment {self.endowment} exceeds total claims {sum(self.claims)}")
+                f"endowment {self.endowment} exceeds total claims {total}")
 
 
 def proportional_rule(problem: BankruptcyProblem) -> tuple[Fraction, ...]:
     """Award everyone the same fraction of their claim."""
-    total = sum(problem.claims)
+    total = _exact_sum(problem.claims)
+    zero = Fraction(0)
     if total == 0:
         # The endowment is zero too (it never exceeds the claims).
-        return tuple(Fraction(0) for _ in problem.claims)
-    return tuple(c * problem.endowment / total for c in problem.claims)
+        return (zero,) * len(problem.claims)
+    ratio = problem.endowment / total
+    return tuple(c * ratio if c else zero for c in problem.claims)
 
 
 class CeaAwards(NamedTuple):
@@ -155,15 +172,15 @@ class MultiIssueClaims:
         for row in self.claims:
             if len(row) != len(self.issues):
                 raise InvalidProblem("one claim per issue required in every row")
-            if any(c < 0 for c in row):
+            if any(c.numerator < 0 for c in row):
                 raise InvalidProblem("claims must be nonnegative")
         if self.endowment < 0:
             raise InvalidProblem("endowment must be nonnegative")
-        totals = tuple(sum(column) for column in zip(*self.claims))
+        totals = tuple(_exact_sum(column) for column in zip(*self.claims))
         for issue, total in zip(self.issues, totals):
             if total == 0:
                 raise InvalidProblem(f"issue {issue!r} carries no claims")
-        if sum(totals) < self.endowment:
+        if _exact_sum(totals) < self.endowment:
             raise InvalidProblem(
                 f"endowment {self.endowment} exceeds total claims")
         object.__setattr__(self, "_issue_totals", totals)
@@ -201,16 +218,19 @@ class IssueWeightFunction:
                 f"{self.name!r} produced {len(out)} weights for {len(issue_totals)} issues")
         if any(w < 0 or w > 1 for w in out):
             raise WeightContractViolated(f"{self.name!r} produced a weight outside [0, 1]")
-        if sum(out) != 1:
+        total = _exact_sum(out)
+        if total != 1:
             raise WeightContractViolated(
-                f"{self.name!r} weights sum to {sum(out)}, not 1")
+                f"{self.name!r} weights sum to {total}, not 1")
         return tuple(out)
 
 
-issue_size_weights = IssueWeightFunction(
-    "issue-size",
-    lambda totals, endowment: tuple(t / sum(totals) for t in totals),
-)
+def _issue_size(totals: tuple[Fraction, ...], endowment: Fraction) -> tuple[Fraction, ...]:
+    grand = _exact_sum(totals)
+    return tuple(t / grand for t in totals)
+
+
+issue_size_weights = IssueWeightFunction("issue-size", _issue_size)
 
 equal_issue_weights = IssueWeightFunction(
     "equal-issues",
@@ -227,12 +247,9 @@ def weighted_proportional(problem: MultiIssueClaims,
     """
     totals = problem.issue_totals()
     weights = weight_function(totals, problem.endowment)
-    awards = []
-    for row in problem.claims:
-        awards.append(sum(
-            (c / t * w * problem.endowment for c, t, w in zip(row, totals, weights) if c),
-            Fraction(0)))
-    return tuple(awards)
+    scales = tuple(w * problem.endowment / t for t, w in zip(totals, weights))
+    return tuple(_exact_sum(c * s for c, s in zip(row, scales) if c)
+                 for row in problem.claims)
 
 
 def two_stage_rule(problem: MultiIssueClaims,
@@ -243,27 +260,32 @@ def two_stage_rule(problem: MultiIssueClaims,
     Stage one treats the issues as agents claiming their column totals and
     divides the endowment with ``issue_stage``.  Stage two divides each
     issue's award among the agents with ``agent_stage``, using the original
-    claims on that issue.  Any InvalidProblem raised inside a stage is
-    re-raised tagged with the stage that produced it.
+    claims on that issue.  Each stage must return one exact award per
+    claimant.  Any InvalidProblem raised inside a stage, or by a stage
+    breaking that contract, is re-raised tagged with the stage.
     """
     psi = resolve_rule(issue_stage)
     phi = resolve_rule(agent_stage)
     totals = problem.issue_totals()
     try:
         issue_budgets = psi(BankruptcyProblem(problem.issues, totals, problem.endowment))
+        if len(issue_budgets) != len(totals):
+            raise InvalidProblem("one award per issue required")
     except InvalidProblem as exc:
         raise InvalidProblem(f"issue stage: {exc}") from exc
-    awards = [Fraction(0)] * len(problem.agents)
-    for j, budget in enumerate(issue_budgets):
-        column = tuple(row[j] for row in problem.claims)
+    terms = [[] for _ in problem.agents]
+    for issue, column, budget in zip(problem.issues, zip(*problem.claims), issue_budgets):
         try:
-            column_awards = phi(BankruptcyProblem(problem.agents, column, budget))
+            column_awards = _rational_tuple(
+                phi(BankruptcyProblem(problem.agents, column, budget)), "awards")
+            if len(column_awards) != len(terms):
+                raise InvalidProblem("one award per agent required")
         except InvalidProblem as exc:
-            raise InvalidProblem(
-                f"agent stage, issue {problem.issues[j]!r}: {exc}") from exc
-        for i, award in enumerate(column_awards):
-            awards[i] += award
-    return tuple(awards)
+            raise InvalidProblem(f"agent stage, issue {issue!r}: {exc}") from exc
+        for agent_terms, award in zip(terms, column_awards):
+            if award:
+                agent_terms.append(award)
+    return tuple(_exact_sum(agent_terms) for agent_terms in terms)
 
 
 def streaming_to_claims(problem: StreamingProblem) -> MultiIssueClaims:
@@ -276,7 +298,7 @@ def streaming_to_claims(problem: StreamingProblem) -> MultiIssueClaims:
     return MultiIssueClaims(
         agents=problem.artists,
         issues=problem.users,
-        claims=tuple(tuple(Fraction(c) for c in row) for row in problem.streams),
+        claims=problem.streams,
         endowment=problem.revenue,
     )
 
@@ -307,6 +329,6 @@ def multi_issue_from_dict(data) -> MultiIssueClaims:
     return MultiIssueClaims(
         agents=tuple(data["agents"]),
         issues=tuple(data["issues"]),
-        claims=tuple(tuple(Fraction(c) for c in row) for row in data["claims"]),
-        endowment=Fraction(data["endowment"]),
+        claims=tuple(data["claims"]),
+        endowment=data["endowment"],
     )

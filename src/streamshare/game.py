@@ -55,7 +55,6 @@ class CoalitionalGame:
 
     def __post_init__(self):
         object.__setattr__(self, "players", tuple(self.players))
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
         n = len(self.players)
         if n == 0:
             raise ValueError("need at least one player")
@@ -63,8 +62,10 @@ class CoalitionalGame:
             raise TooManyPlayers(f"{n} players exceeds the {MAX_ENUMERABLE_PLAYERS}-player cap")
         if len(set(self.players)) != n:
             raise ValueError("duplicate player identifier")
-        if len(self.values) != 1 << n:
-            raise ValueError(f"need {1 << n} coalition values, got {len(self.values)}")
+        values = tuple(self.values)
+        if len(values) != 1 << n:
+            raise ValueError(f"need {1 << n} coalition values, got {len(values)}")
+        object.__setattr__(self, "values", tuple(Fraction(v) for v in values))
         if self.values[0] != 0:
             raise ValueError("the empty coalition must be worth zero")
 

@@ -5,7 +5,17 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from streamshare import IndexValues, StreamingProblem, WeightSystem, new_problem
+from streamshare import (
+    BankruptcyProblem,
+    IndexValues,
+    InvalidProblem,
+    IssueWeightFunction,
+    MultiIssueClaims,
+    StreamingProblem,
+    WeightSystem,
+    cea_awards,
+    new_problem,
+)
 
 
 def two_user_problem(fee: int | Fraction = 1) -> StreamingProblem:
@@ -70,6 +80,19 @@ def resampled_column(
     return StreamingProblem(problem.artists, problem.users, streams, problem.fee)
 
 
+def sparse_problem_with_silent_artists(seed: int, fee: int | Fraction = 1) -> StreamingProblem:
+    """A seeded 40 x 300 matrix in which every fifth artist has no streams."""
+    rng = random.Random(seed)
+    n, m = 40, 300
+    streams = [[0] * m for _ in range(n)]
+    played = [i for i in range(n) if i % 5]
+    for j in range(m):
+        for i in rng.sample(played, rng.randint(1, 4)):
+            streams[i][j] = rng.randint(1, 50)
+    return new_problem([f"a{i}" for i in range(n)], [f"u{j}" for j in range(m)], streams,
+                       fee=fee)
+
+
 # -- reference index loops ---------------------------------------------------
 #
 # The per-user Fraction loops that computed pro-rata, user-centric and the
@@ -96,3 +119,61 @@ def reference_weighted_index(problem: StreamingProblem, weights: WeightSystem) -
     for row in problem.streams:
         scores.append(sum((w * c for w, c in zip(per_user, row) if c), Fraction(0)))
     return IndexValues(problem.artists, tuple(scores))
+
+
+# -- reference claims loops --------------------------------------------------
+#
+# The running Fraction sums that computed the proportional rule, the issue-size
+# weights, weighted proportional awards and two-stage awards before every sum
+# in the claims module went through one common denominator.  Kept unchanged as
+# the reference for the differential test of those rules; rule names resolve
+# to the reference proportional rule.
+
+
+def reference_proportional_rule(problem: BankruptcyProblem) -> tuple[Fraction, ...]:
+    total = sum(problem.claims)
+    if total == 0:
+        return tuple(Fraction(0) for _ in problem.claims)
+    return tuple(c * problem.endowment / total for c in problem.claims)
+
+
+reference_issue_size_weights = IssueWeightFunction(
+    "issue-size",
+    lambda totals, endowment: tuple(t / sum(totals) for t in totals),
+)
+
+REFERENCE_RULES = {"proportional": reference_proportional_rule, "cea": cea_awards}
+
+
+def reference_weighted_proportional(problem: MultiIssueClaims,
+                                    weight_function: IssueWeightFunction) -> tuple[Fraction, ...]:
+    totals = problem.issue_totals()
+    weights = weight_function(totals, problem.endowment)
+    awards = []
+    for row in problem.claims:
+        awards.append(sum(
+            (c / t * w * problem.endowment for c, t, w in zip(row, totals, weights) if c),
+            Fraction(0)))
+    return tuple(awards)
+
+
+def reference_two_stage_rule(problem: MultiIssueClaims, issue_stage, agent_stage
+                             ) -> tuple[Fraction, ...]:
+    psi = issue_stage if callable(issue_stage) else REFERENCE_RULES[issue_stage]
+    phi = agent_stage if callable(agent_stage) else REFERENCE_RULES[agent_stage]
+    totals = problem.issue_totals()
+    try:
+        issue_budgets = psi(BankruptcyProblem(problem.issues, totals, problem.endowment))
+    except InvalidProblem as exc:
+        raise InvalidProblem(f"issue stage: {exc}") from exc
+    awards = [Fraction(0)] * len(problem.agents)
+    for j, budget in enumerate(issue_budgets):
+        column = tuple(row[j] for row in problem.claims)
+        try:
+            column_awards = phi(BankruptcyProblem(problem.agents, column, budget))
+        except InvalidProblem as exc:
+            raise InvalidProblem(
+                f"agent stage, issue {problem.issues[j]!r}: {exc}") from exc
+        for i, award in enumerate(column_awards):
+            awards[i] += award
+    return tuple(awards)

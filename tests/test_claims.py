@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,13 @@ from streamshare.claims import (
     multi_issue_from_dict,
     multi_issue_to_dict,
     resolve_rule,
+)
+from helpers import (
+    reference_issue_size_weights,
+    reference_proportional_rule,
+    reference_two_stage_rule,
+    reference_weighted_proportional,
+    sparse_problem_with_silent_artists,
 )
 
 F = Fraction
@@ -304,3 +312,141 @@ def test_multi_issue_dict_roundtrip():
 def test_multi_issue_from_dict_missing_key():
     with pytest.raises(InvalidProblem):
         multi_issue_from_dict({"agents": ["1"]})
+
+
+def test_multi_issue_from_dict_rejects_floats():
+    data = {"agents": ["1", "2"], "issues": ["a"], "claims": [[0.1], [1]],
+            "endowment": "1/2"}
+    with pytest.raises(InvalidProblem, match="claims must be exact rationals"):
+        multi_issue_from_dict(data)
+    data = {"agents": ["1", "2"], "issues": ["a"], "claims": [["1/10"], [1]],
+            "endowment": 0.5}
+    with pytest.raises(TypeError, match="endowment must be an exact rational"):
+        multi_issue_from_dict(data)
+
+
+def test_multi_issue_dict_roundtrip_with_fractions():
+    mc = MultiIssueClaims(("1", "2"), ("a", "b"),
+                          ((F(1, 3), F(0)), (F(5, 2), F(7))), F(9, 4))
+    data = multi_issue_to_dict(mc)
+    assert data["claims"] == [["1/3", "0"], ["5/2", "7"]]
+    again = multi_issue_from_dict(data)
+    assert again == mc
+    assert all(type(c) is Fraction for row in again.claims for c in row)
+
+
+# -- differential test against the running-sum loops ---------------------------
+
+
+def priority_rule(problem: BankruptcyProblem) -> tuple[Fraction, ...]:
+    """Pay claims in agent order until the endowment runs out."""
+    remaining, awards = problem.endowment, []
+    for claim in problem.claims:
+        award = min(claim, remaining)
+        awards.append(award)
+        remaining -= award
+    return tuple(awards)
+
+
+def overspend(problem: BankruptcyProblem) -> tuple[Fraction, ...]:
+    return tuple(2 * c for c in problem.claims)
+
+
+STAGES = ("cea", "proportional", priority_rule)
+
+
+def outcome(rule, *args):
+    """Exact typed values, or the exception type and message."""
+    try:
+        result = rule(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return tuple((type(x), x) for x in result)
+
+
+def fractional_multi_issue(rng: random.Random, agents: int, issues: int,
+                           share: Fraction) -> MultiIssueClaims:
+    """Seeded non-integer claims; some agents hold no claim at all."""
+    claims = [[F(0)] * issues for _ in range(agents)]
+    for j in range(issues):
+        for i in rng.sample(range(agents), rng.randint(1, agents)):
+            if i % 4 != 3:
+                claims[i][j] = F(rng.randint(1, 60), rng.randint(1, 12))
+        if not any(row[j] for row in claims):
+            claims[0][j] = F(1, rng.randint(1, 12))
+    grand = sum(sum(row) for row in claims)
+    return MultiIssueClaims(tuple(f"a{i}" for i in range(agents)),
+                            tuple(f"u{j}" for j in range(issues)), claims, grand * share)
+
+
+def assert_rules_match_reference(mc: MultiIssueClaims) -> None:
+    assert mc.issue_totals() == tuple(sum(column) for column in zip(*mc.claims))
+    for issue_stage in STAGES + (overspend,):
+        for agent_stage in STAGES:
+            assert outcome(two_stage_rule, mc, issue_stage, agent_stage) == outcome(
+                reference_two_stage_rule, mc, issue_stage, agent_stage)
+    totals = mc.issue_totals()
+    assert issue_size_weights(totals, mc.endowment) == reference_issue_size_weights(
+        totals, mc.endowment)
+    for weights in (issue_size_weights, equal_issue_weights):
+        assert outcome(weighted_proportional, mc, weights) == outcome(
+            reference_weighted_proportional, mc, weights)
+
+
+def test_claims_rules_match_reference_loops():
+    rng = random.Random(43)
+    samples = ProblemGenerator(seed=41, max_artists=7, max_users=9, max_streams=40,
+                               fee=F(5, 2)).sample(150)
+    problems = []
+    for problem in samples:
+        try:
+            problems.append(streaming_to_claims(problem))
+        except InvalidProblem:
+            pass  # more fee than streams: no claims view to compare
+    assert len(problems) > 120
+    problems += [fractional_multi_issue(rng, rng.randint(1, 9), rng.randint(1, 9),
+                                        F(rng.randint(0, 10), 10)) for _ in range(30)]
+    problems.append(fractional_multi_issue(rng, 6, 5, F(0)))
+    problems.append(streaming_to_claims(sparse_problem_with_silent_artists(44, fee=F(7, 3))))
+    for mc in problems:
+        assert_rules_match_reference(mc)
+    with pytest.raises(InvalidProblem, match=r"^issue 'u1' carries no claims$"):
+        MultiIssueClaims(("a0", "a1"), ("u0", "u1"), ((F(1, 2), F(0)), (F(5, 3), F(0))), F(1))
+
+
+def test_single_issue_rules_match_reference_loops():
+    rng = random.Random(45)
+    cases = [
+        BankruptcyProblem(("x", "y"), (F(0), F(0)), F(0)),
+        BankruptcyProblem(("x", "y", "z"), (F(0), F(3, 4), F(0)), F(0)),
+        BankruptcyProblem(("x", "y", "z"), (F(0), F(3, 4), F(0)), F(3, 4)),
+    ]
+    for _ in range(60):
+        claims = tuple(F(rng.randint(0, 30), rng.randint(1, 9)) for _ in range(6))
+        cases.append(BankruptcyProblem(tuple("abcdef"), claims,
+                                       sum(claims) * F(rng.randint(0, 8), 8)))
+    for bp in cases:
+        assert outcome(proportional_rule, bp) == outcome(reference_proportional_rule, bp)
+
+
+def test_solvency_message_prints_the_exact_total():
+    claims = (F(1, 3), F(0), F(5, 6), F(7, 4))
+    endowment = sum(claims) + F(1, 100)
+    with pytest.raises(InvalidProblem) as exc:
+        BankruptcyProblem(("w", "x", "y", "z"), claims, endowment)
+    assert str(exc.value) == f"endowment {endowment} exceeds total claims {sum(claims)}"
+
+
+def test_stage_rules_must_return_one_exact_award_per_agent():
+    def inexact(bp):
+        return tuple(float(c) for c in bp.claims)
+
+    def short(bp):
+        return proportional_rule(bp)[:-1]
+
+    with pytest.raises(InvalidProblem, match=r"^agent stage, issue 'a': awards must be"):
+        two_stage_rule(small_multi(), "proportional", inexact)
+    with pytest.raises(InvalidProblem, match=r"^agent stage, issue 'a': one award per"):
+        two_stage_rule(small_multi(), "proportional", short)
+    with pytest.raises(InvalidProblem, match=r"^issue stage: one award per issue"):
+        two_stage_rule(small_multi(), short, "proportional")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -299,6 +300,40 @@ def test_claims_insolvent_input(runner, tmp_path):
     path.write_text("artist,a,b\n1,1,1\n")
     result = invoke(runner, "claims", "-i", str(path), "--fee", "2")
     assert result.exit_code == EXIT_INPUT
+
+
+def seeded_catalog_csv(seed: int, artists: int, users: int) -> str:
+    """A sparse seeded stream matrix as CSV; every user column is nonempty."""
+    rng = random.Random(seed)
+    columns = []
+    for _ in range(users):
+        column = [rng.randint(1, 30) if rng.random() < 0.15 else 0 for _ in range(artists)]
+        if not any(column):
+            column[rng.randrange(artists)] = rng.randint(1, 3)
+        columns.append(column)
+    lines = ["artist," + ",".join(f"u{j}" for j in range(users))]
+    for i in range(artists):
+        lines.append(f"a{i}," + ",".join(str(column[i]) for column in columns))
+    return "\n".join(lines) + "\n"
+
+
+# Every award and issue total of both stage orders on one seeded catalog.  At
+# fee 7/2 some users stream less than the fee, so the CEA level is not the fee.
+PINNED_CLAIMS_SHA256 = {
+    ("cea", "proportional"): "af25091966a3bf33865e49c4764afc2acfbb8ed4a278fd7a92e089958e430271",
+    ("proportional", "cea"): "6c20ec485e9acfd3d5fd7590909dd44823c53d7513bd2111d7dc9ec0c2724349",
+}
+
+
+@pytest.mark.parametrize("stage1, stage2", sorted(PINNED_CLAIMS_SHA256))
+def test_claims_output_is_pinned(runner, tmp_path, stage1, stage2):
+    path = tmp_path / "catalog.csv"
+    path.write_text(seeded_catalog_csv(seed=11, artists=15, users=150))
+    result = invoke(runner, "claims", "-i", str(path), "--fee", "7/2",
+                    "--stage1", stage1, "--stage2", stage2, "-o", "json")
+    assert result.exit_code == 0
+    digest = hashlib.sha256(result.output.encode()).hexdigest()
+    assert digest == PINNED_CLAIMS_SHA256[stage1, stage2]
 
 
 # -- axioms ----------------------------------------------------------------------

@@ -100,6 +100,12 @@ def test_too_many_players():
         CoalitionalGame(tuple(f"p{i}" for i in range(21)), (F(0),) * (1 << 21))
 
 
+def test_player_cap_is_checked_before_values():
+    values = (F(0),) * ((1 << 21) - 1) + (0.5,)
+    with pytest.raises(TooManyPlayers):
+        CoalitionalGame(tuple(f"p{i}" for i in range(21)), values)
+
+
 # -- supermodularity --------------------------------------------------------
 
 

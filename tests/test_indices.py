@@ -37,6 +37,7 @@ from helpers import (
     reference_pro_rata_index,
     reference_user_centric_index,
     reference_weighted_index,
+    sparse_problem_with_silent_artists,
 )
 
 F = Fraction
@@ -98,24 +99,12 @@ def test_inverse_total_weights_reduce_to_user_centric():
         assert weighted_index(problem, inv).as_dict() == USER_CENTRIC(problem).as_dict()
 
 
-def _sparse_problem_with_silent_artists(seed: int):
-    """A seeded 40 x 300 matrix in which every fifth artist has no streams."""
-    rng = random.Random(seed)
-    n, m = 40, 300
-    streams = [[0] * m for _ in range(n)]
-    played = [i for i in range(n) if i % 5]
-    for j in range(m):
-        for i in rng.sample(played, rng.randint(1, 4)):
-            streams[i][j] = rng.randint(1, 50)
-    return new_problem([f"a{i}" for i in range(n)], [f"u{j}" for j in range(m)], streams)
-
-
 def test_weighted_kernel_matches_reference_loops():
     rng = random.Random(17)
     banded = banded_weight_system(BandedWeightParams(20, 60))
     problems = ProblemGenerator(seed=21, max_artists=7, max_users=9,
                                 max_streams=40).sample(150)
-    big = _sparse_problem_with_silent_artists(22)
+    big = sparse_problem_with_silent_artists(22)
     assert any(sum(row) == 0 for row in big.streams)
     for problem in problems + [big]:
         table = table_weight_system(
