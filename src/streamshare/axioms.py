@@ -26,7 +26,9 @@ from . import game as game_mod
 from .indices import Index, rewards
 from .model import (
     InvalidPartition,
+    ModelError,
     StreamingProblem,
+    as_rational,
     new_problem,
     problem_from_dict,
     problem_to_dict,
@@ -61,11 +63,11 @@ _AXIOM_ALIASES = {
 def normalize_axiom(name: str) -> str:
     canon = _AXIOM_ALIASES.get(name, name)
     if canon not in AXIOM_NAMES:
-        raise ValueError(f"unknown axiom {name!r}; expected one of {AXIOM_NAMES}")
+        raise ModelError(f"unknown axiom {name!r}; expected one of {AXIOM_NAMES}")
     return canon
 
 
-class PremiseViolated(ValueError):
+class PremiseViolated(ModelError):
     """The supplied arguments do not satisfy the property's premise."""
 
 
@@ -122,9 +124,12 @@ def _fail(axiom: str, index: Index, witness: Mapping, detail: str = "") -> Axiom
 # -- single-premise checks ----------------------------------------------
 
 def check_homogeneity(index: Index, problem: StreamingProblem,
-                      artist: str, other: str, factor: Fraction) -> AxiomVerdict:
-    """One artist's row is ``factor`` times another's; their scores must be too."""
-    factor = Fraction(factor)
+                      artist: str, other: str, factor: int | str | Fraction) -> AxiomVerdict:
+    """One artist's row is ``factor`` times another's; their scores must be too.
+
+    An inexact ``factor`` raises TypeError.
+    """
+    factor = as_rational(factor, "factor")
     if factor < 0:
         raise PremiseViolated("factor must be nonnegative")
     if artist == other:
@@ -395,7 +400,7 @@ class _Property:
 _PROPERTIES: dict[str, _Property] = {
     HOMOGENEITY: _Property(
         _proportional_pairs, check_homogeneity,
-        lambda w: (w["artist"], w["other"], Fraction(w["factor"])),
+        lambda w: (w["artist"], w["other"], w["factor"]),
         "no proportional artist pair"),
     # Odd masks keep the first user on the left, so every unordered split
     # is visited once; the full set is not a split.
@@ -473,13 +478,13 @@ class ProblemGenerator:
 
     def __post_init__(self):
         if not (1 <= self.min_artists <= self.max_artists):
-            raise ValueError("need 1 <= min_artists <= max_artists")
+            raise ModelError("need 1 <= min_artists <= max_artists")
         if not (1 <= self.min_users <= self.max_users):
-            raise ValueError("need 1 <= min_users <= max_users")
+            raise ModelError("need 1 <= min_users <= max_users")
         if self.max_streams < 1:
-            raise ValueError("max_streams must be at least 1")
+            raise ModelError("max_streams must be at least 1")
         if not (0 <= self.sparsity < 1):
-            raise ValueError("sparsity must be in [0, 1)")
+            raise ModelError("sparsity must be in [0, 1)")
 
     def problems(self) -> Iterator[StreamingProblem]:
         rng = random.Random(self.seed)

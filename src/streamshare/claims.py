@@ -13,29 +13,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 from typing import Callable, NamedTuple, Sequence, Union
 
-from .model import StreamingProblem, as_rational
+from .model import ModelError, StreamingProblem, as_rational
 
 
-class InvalidProblem(ValueError):
+class InvalidProblem(ModelError):
     """Claims data violating the model: negative claims, short endowment, ..."""
 
 
-class WeightContractViolated(ValueError):
+class WeightContractViolated(ModelError):
     """An issue-weight function must return a probability vector."""
 
 
 def _rational_tuple(values: Sequence, what: str) -> tuple[Fraction, ...]:
-    out = []
-    for v in values:
-        kind = type(v)
-        if kind is not Fraction and kind is not int and (
-                kind is bool or not isinstance(v, (str, Rational))):
-            raise InvalidProblem(f"{what} must be exact rationals, got {v!r}")
-        out.append(v if kind is Fraction else Fraction(v))
-    return tuple(out)
+    label = f"{what} must be exact rationals; each entry"
+    return tuple(as_rational(v, label, InvalidProblem) for v in values)
 
 
 def _exact_sum(values) -> Fraction:
@@ -197,8 +190,8 @@ class IssueWeightFunction:
     """Allots a probability weight to each issue.
 
     ``weights(issue_totals, endowment)`` must return one weight per issue,
-    each in [0, 1], summing to exactly 1.  The result is validated on every
-    call and any violation raises WeightContractViolated.
+    each an exact rational in [0, 1], summing to exactly 1.  The result is
+    validated on every call and any violation raises WeightContractViolated.
     """
 
     name: str
@@ -206,13 +199,8 @@ class IssueWeightFunction:
 
     def __call__(self, issue_totals: tuple[Fraction, ...],
                  endowment: Fraction) -> tuple[Fraction, ...]:
-        raw = self.weights(issue_totals, endowment)
-        out = []
-        for w in raw:
-            if isinstance(w, bool) or not isinstance(w, Rational):
-                raise WeightContractViolated(
-                    f"{self.name!r} produced non-rational weight {w!r}")
-            out.append(Fraction(w))
+        out = tuple(as_rational(w, f"weight from {self.name!r}", WeightContractViolated)
+                    for w in self.weights(issue_totals, endowment))
         if len(out) != len(issue_totals):
             raise WeightContractViolated(
                 f"{self.name!r} produced {len(out)} weights for {len(issue_totals)} issues")
@@ -222,7 +210,7 @@ class IssueWeightFunction:
         if total != 1:
             raise WeightContractViolated(
                 f"{self.name!r} weights sum to {total}, not 1")
-        return tuple(out)
+        return out
 
 
 def _issue_size(totals: tuple[Fraction, ...], endowment: Fraction) -> tuple[Fraction, ...]:
@@ -307,7 +295,7 @@ def streaming_to_bankruptcy(problem: StreamingProblem) -> BankruptcyProblem:
     """Collapse a streaming problem to single-issue claims on the revenue."""
     return BankruptcyProblem(
         agents=problem.artists,
-        claims=tuple(Fraction(sum(row)) for row in problem.streams),
+        claims=tuple(sum(row) for row in problem.streams),
         endowment=problem.revenue,
     )
 

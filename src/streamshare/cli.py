@@ -5,15 +5,14 @@ either a readable table or machine-ready JSON.  Exact rationals appear as
 'p/q' strings in JSON mode and as rounded decimals in table mode.
 
 Exit codes: 0 for success (including reports of failed properties), 2 for
-bad input, 3 for an internal invariant violation such as the two core
-oracles disagreeing.
+bad input (any ModelError, or a file that cannot be read), 3 for anything
+else, such as the two core oracles disagreeing.
 """
 from __future__ import annotations
 
 import functools
 import json
 import sys
-from fractions import Fraction
 
 import click
 
@@ -34,29 +33,26 @@ class OracleDisagreement(RuntimeError):
 
 
 def _guarded(fn):
-    """Map library errors to exit code 2 and oracle splits to exit code 3."""
+    """Map input errors to exit code 2 and every other exception to exit code 3."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except OracleDisagreement as exc:
-            click.echo(f"internal error: {exc}", err=True)
-            sys.exit(EXIT_INTERNAL)
-        except (model.ModelError, claims_mod.InvalidProblem,
-                claims_mod.WeightContractViolated, indices_mod.NonPositiveWeight,
-                indices_mod.ZeroIndexSum, game_mod.NotInCore,
-                OSError, ValueError) as exc:
+        except (model.ModelError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_INPUT)
+        except Exception as exc:
+            click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+            sys.exit(EXIT_INTERNAL)
 
     return wrapper
 
 
-def _read_text(path: str) -> str:
+def _read_bytes(path: str) -> bytes:
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
+        return sys.stdin.buffer.read()
+    with open(path, "rb") as handle:
         return handle.read()
 
 
@@ -69,10 +65,8 @@ def _load_problem(path: str, format: str | None, fee: str | None) -> model.Strea
         else:
             raise model.ParseError(
                 "cannot infer the input format; pass --format csv or --format json")
-    problem = model.parse_problem(_read_text(path), format)
-    if fee is not None:
-        problem = problem.with_fee(model.as_rational(fee, "fee"))
-    return problem
+    problem = model.parse_problem(_read_bytes(path), format)
+    return problem if fee is None else problem.with_fee(fee)
 
 
 def _echo_json(payload) -> None:
@@ -99,16 +93,19 @@ def _method_index(method: str, alpha: int | None, beta: int | None,
         return indices_mod.USER_CENTRIC
     if method == "banded":
         if alpha is None or beta is None:
-            raise ValueError("--method banded requires --alpha and --beta")
+            raise model.ModelError("--method banded requires --alpha and --beta")
         return banded_index(alpha, beta)
     if method == "weighted-file":
         if weights_file is None:
-            raise ValueError("--method weighted-file requires --weights-file")
-        table = json.loads(_read_text(weights_file))
+            raise model.ModelError("--method weighted-file requires --weights-file")
+        try:
+            table = json.loads(_read_bytes(weights_file).decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deep JSON
+            raise model.ParseError(f"weights file is not UTF-8 JSON: {exc}") from None
         if not isinstance(table, dict):
-            raise ValueError("the weights file must hold a JSON object of user weights")
+            raise model.ParseError("the weights file must hold a JSON object of user weights")
         return index_from_weights(table_weight_system(table))
-    raise ValueError(f"unknown method {method!r}")
+    raise model.ModelError(f"unknown method {method!r}")
 
 
 _METHOD_CHOICES = ("pro-rata", "user-centric", "banded", "weighted-file")
@@ -129,7 +126,7 @@ def _output_options(fn):
     fn = click.option("--output", "-o", "output_mode",
                       type=click.Choice(("table", "json")), default="table",
                       help="Print a table or JSON.")(fn)
-    fn = click.option("--precision", type=int, default=4, show_default=True,
+    fn = click.option("--precision", type=click.IntRange(min=0), default=4, show_default=True,
                       help="Decimal places in table mode (display only).")(fn)
     return fn
 
@@ -362,7 +359,7 @@ def axioms(output_mode, precision, seed, budget, index_names, axiom_names,
         for name in index_names.split(","):
             name = name.strip()
             if name not in catalog:
-                raise ValueError(
+                raise model.ModelError(
                     f"unknown index {name!r}; expected one of {sorted(catalog)}")
             chosen.append(catalog[name])
     wanted_axioms = None

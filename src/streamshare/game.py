@@ -11,6 +11,9 @@ the artists that user actually streamed.  Since the two characterizations
 are implemented along completely different routes (exhaustive coalition
 enumeration versus a max-flow feasibility test) they double-check each
 other; any disagreement is a bug, never a judgment call.
+
+Coalition values, dividend mappings and list-form allocations pass through
+:func:`model.as_rational`, so an inexact number among them raises TypeError.
 """
 from __future__ import annotations
 
@@ -18,27 +21,27 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from numbers import Rational
 from typing import Iterable, Mapping, Sequence
 
-from .model import Allocation, StreamingProblem
+from .model import (Allocation, DimensionMismatch, DuplicateIdentifier, FeeMismatch, ModelError,
+                    StreamingProblem, as_rational)
 
 MAX_ENUMERABLE_PLAYERS = 20
 
 
-class TooManyPlayers(ValueError):
+class TooManyPlayers(ModelError):
     """Coalition enumeration is capped to keep 2**n tables in memory."""
 
 
-class NotInCore(ValueError):
+class NotInCore(ModelError):
     """No per-user decomposition exists for this allocation."""
 
 
 def _amounts(allocation: Allocation | Sequence[Fraction], n: int) -> tuple[Fraction, ...]:
     values = allocation.amounts if isinstance(allocation, Allocation) else tuple(
-        Fraction(a) for a in allocation)
+        as_rational(a, "amount") for a in allocation)
     if len(values) != n:
-        raise ValueError(f"expected {n} amounts, got {len(values)}")
+        raise DimensionMismatch(f"expected {n} amounts, got {len(values)}")
     return values
 
 
@@ -57,17 +60,18 @@ class CoalitionalGame:
         object.__setattr__(self, "players", tuple(self.players))
         n = len(self.players)
         if n == 0:
-            raise ValueError("need at least one player")
+            raise DimensionMismatch("need at least one player")
         if n > MAX_ENUMERABLE_PLAYERS:
             raise TooManyPlayers(f"{n} players exceeds the {MAX_ENUMERABLE_PLAYERS}-player cap")
         if len(set(self.players)) != n:
-            raise ValueError("duplicate player identifier")
+            raise DuplicateIdentifier("duplicate player identifier")
         values = tuple(self.values)
         if len(values) != 1 << n:
-            raise ValueError(f"need {1 << n} coalition values, got {len(values)}")
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in values))
+            raise DimensionMismatch(f"need {1 << n} coalition values, got {len(values)}")
+        object.__setattr__(self, "values", tuple(as_rational(v, "coalition value")
+                                                 for v in values))
         if self.values[0] != 0:
-            raise ValueError("the empty coalition must be worth zero")
+            raise ModelError("the empty coalition must be worth zero")
 
     @property
     def player_count(self) -> int:
@@ -207,10 +211,10 @@ def reconstruct_from_dividends(
         table = list(dividends.dividends)
     else:
         if players is None:
-            raise ValueError("players required when dividends come as a mapping")
+            raise ModelError("players required when dividends come as a mapping")
         table = [Fraction(0)] * (1 << len(players))
         for mask, value in dividends.items():
-            table[mask] = Fraction(value)
+            table[mask] = as_rational(value, "dividend")
     _subset_sums(table, len(players))
     return CoalitionalGame(tuple(players), tuple(table))
 
@@ -277,20 +281,20 @@ class CoreDecomposition:
     def validate(self, problem: StreamingProblem) -> None:
         """Raise if any decomposition invariant fails against the problem."""
         if self.artists != problem.artists or self.users != problem.users:
-            raise ValueError("decomposition indexed by different artists or users")
+            raise ModelError("decomposition indexed by different artists or users")
         if self.fee != problem.fee:
-            raise ValueError("decomposition built for a different fee")
+            raise FeeMismatch("decomposition built for a different fee")
         for user, row in zip(self.users, self.shares):
             if len(row) != len(self.artists):
-                raise ValueError("ragged decomposition row")
+                raise DimensionMismatch("ragged decomposition row")
             if any(x < 0 for x in row):
-                raise ValueError(f"negative share for user {user!r}")
+                raise ModelError(f"negative share for user {user!r}")
             if sum(row) != self.fee:
-                raise ValueError(f"user {user!r} shares do not sum to the fee")
+                raise ModelError(f"user {user!r} shares do not sum to the fee")
             listened = problem.listened_set(user)
             for artist, x in zip(self.artists, row):
                 if x > 0 and artist not in listened:
-                    raise ValueError(
+                    raise ModelError(
                         f"user {user!r} pays artist {artist!r} they never streamed")
 
 

@@ -13,17 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from numbers import Rational
 from typing import Callable, Mapping
 
-from .model import Allocation, IndexValues, StreamingProblem, UnknownUser, as_rational
+from .model import (Allocation, ArtistMismatch, IndexValues, ModelError, StreamingProblem,
+                    UnknownUser, as_rational)
 
 
-class NonPositiveWeight(ValueError):
+class NonPositiveWeight(ModelError):
     """A weight function returned a weight that is not a positive rational."""
 
 
-class ZeroIndexSum(ValueError):
+class ZeroIndexSum(ModelError):
     """Rewards are undefined when every artist scores zero."""
 
 
@@ -46,20 +46,24 @@ class WeightSystem:
     """Per-user weights for the weighted index family.
 
     ``weight(user, profile)`` receives the user's identifier and their
-    column of stream counts and must return a strictly positive rational.
-    The profile argument lets a weight depend on listening volume without
-    seeing the rest of the matrix.
+    column of stream counts and must return a strictly positive exact
+    rational; anything else raises NonPositiveWeight.  The profile argument
+    lets a weight depend on listening volume without seeing the rest of the
+    matrix.
     """
 
     name: str
     weight: Callable[[str, tuple[int, ...]], Fraction | int]
 
     def __call__(self, user: str, profile: tuple[int, ...]) -> Fraction:
-        value = self.weight(user, profile)
-        if isinstance(value, bool) or not isinstance(value, Rational) or value <= 0:
-            raise NonPositiveWeight(f"weight system {self.name!r} returned {value!r} "
-                                    f"for user {user!r}; need a positive rational")
-        return Fraction(value)
+        raw = self.weight(user, profile)
+        try:
+            if (value := as_rational(raw)) > 0:
+                return value
+        except TypeError:
+            pass
+        raise NonPositiveWeight(f"weight system {self.name!r} returned {raw!r} "
+                                f"for user {user!r}; need a positive rational")
 
 
 @dataclass(frozen=True)
@@ -72,9 +76,9 @@ class BandedWeightParams:
     def __post_init__(self):
         for name, value in (("alpha", self.alpha), ("beta", self.beta)):
             if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+                raise ModelError(f"{name} must be an integer, got {value!r}")
         if not 0 < self.alpha <= self.beta:
-            raise ValueError(
+            raise ModelError(
                 f"need 0 < alpha <= beta, got alpha={self.alpha}, beta={self.beta}")
 
 
@@ -136,10 +140,8 @@ def banded_weight_system(params: BandedWeightParams) -> WeightSystem:
 
 def table_weight_system(table: Mapping[str, int | str | Fraction]) -> WeightSystem:
     """Fixed per-user weights from a mapping; inexact entries raise NonPositiveWeight."""
-    try:
-        converted = {u: as_rational(w, f"weight for user {u!r}") for u, w in table.items()}
-    except TypeError as exc:
-        raise NonPositiveWeight(str(exc)) from None
+    converted = {u: as_rational(w, f"weight for user {u!r}", NonPositiveWeight)
+                 for u, w in table.items()}
 
     def weight(user: str, profile: tuple[int, ...]) -> Fraction:
         try:
@@ -157,7 +159,7 @@ def rewards(problem: StreamingProblem, values: IndexValues) -> Allocation:
     invariant under scaling all scores by the same positive rational.
     """
     if values.artists != problem.artists:
-        raise ValueError("index values computed for different artists")
+        raise ArtistMismatch("index values computed for different artists")
     total = values.total
     if total <= 0:
         raise ZeroIndexSum("cannot divide revenue over an all-zero index")

@@ -62,7 +62,7 @@ class WouldBeEmpty(ModelError):
 
 
 class ArtistMismatch(ModelError):
-    """Two problems cannot be merged unless their artist lists agree."""
+    """Two problems, or a problem and its index values, list different artists."""
 
 
 class OverlappingUsers(ModelError):
@@ -92,19 +92,25 @@ class ParseError(ModelError):
         self.field = field
 
 
-def as_rational(value: int | str | Fraction, what: str = "value") -> Fraction:
-    """Coerce ``value`` to an exact Fraction.
+def as_rational(value: int | str | Fraction, what: str = "value",
+                error: type[Exception] = TypeError) -> Fraction:
+    """The one number gate: coerce ``value`` to an exact Fraction.
 
-    Accepts ints, Fractions, and strings like ``"3/4"`` or ``"2"``.  Floats
-    are rejected so that no inexact number can leak into a computation.
+    Accepts Fractions (returned as they are), ints, any other
+    ``numbers.Rational`` and strings like ``"3/4"``; a malformed string raises
+    ParseError.  bool, float, Decimal, None and every other type raise
+    ``error``, so no inexact number can leak into a computation.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, str, Rational)):
-        raise TypeError(f"{what} must be an exact rational (int, Fraction, or 'p/q' string), "
-                        f"got {type(value).__name__}")
+    kind = type(value)
+    if kind is Fraction:
+        return value
+    if kind is not int and (kind is bool or not isinstance(value, (str, Rational))):
+        raise error(f"{what} must be an exact rational (int, Fraction, or 'p/q' string), "
+                    f"got {kind.__name__}")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {what} {value!r}: {exc}") from None
+        raise ParseError(f"{what} {value!r} is not a valid rational: {exc}") from None
 
 
 def decimal_display(value: Fraction, places: int) -> str:
@@ -113,7 +119,7 @@ def decimal_display(value: Fraction, places: int) -> str:
     Pure integer arithmetic, so ties like 1.875 -> 1.9 are exact.
     """
     if places < 0:
-        raise ValueError("places must be nonnegative")
+        raise ModelError("places must be nonnegative")
     sign = "-" if value < 0 else ""
     scaled = abs(value) * 10 ** places
     q, r = divmod(scaled.numerator, scaled.denominator)
@@ -145,9 +151,7 @@ class StreamingProblem:
         object.__setattr__(self, "artists", tuple(self.artists))
         object.__setattr__(self, "users", tuple(self.users))
         object.__setattr__(self, "streams", tuple(tuple(row) for row in self.streams))
-        if isinstance(self.fee, bool) or not isinstance(self.fee, (int, str, Rational)):
-            raise NonPositiveFee("fee must be an exact rational (int, Fraction, or 'p/q' string)")
-        object.__setattr__(self, "fee", Fraction(self.fee))
+        object.__setattr__(self, "fee", as_rational(self.fee, "fee", NonPositiveFee))
 
         for name, ids in (("artist", self.artists), ("user", self.users)):
             for ident in ids:
@@ -341,8 +345,7 @@ class _ArtistValues:
 
     def __post_init__(self):
         object.__setattr__(self, "artists", tuple(self.artists))
-        values = tuple(v if type(v) is Fraction else as_rational(v, self._field)
-                       for v in getattr(self, self._field))
+        values = tuple(as_rational(v, self._field) for v in getattr(self, self._field))
         if len(self.artists) != len(values):
             raise DimensionMismatch(f"one entry of {self._field} per artist required")
         if any(v < 0 for v in values):
@@ -430,10 +433,8 @@ def problem_from_dict(data: Mapping) -> StreamingProblem:
         for cell in row:
             if isinstance(cell, bool) or not isinstance(cell, int):
                 raise ParseError(f"stream counts must be integers, got {cell!r}")
-    fee = data.get("fee", 1)
-    if isinstance(fee, bool) or not isinstance(fee, (int, str)):
-        raise ParseError(f"fee must be an integer or a 'p/q' string, got {fee!r}")
-    return new_problem(artists, users, streams, as_rational(fee, "fee"))
+    fee = as_rational(data.get("fee", 1), "fee", ParseError)
+    return new_problem(artists, users, streams, fee)
 
 
 def _parse_csv(text: str) -> StreamingProblem:
@@ -503,6 +504,8 @@ def parse_problem(data: str | bytes, format: str) -> StreamingProblem:
         payload = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc.msg}", line=exc.lineno, field=exc.colno) from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
     return problem_from_dict(payload)
 
 

@@ -396,3 +396,72 @@ def test_axioms_table_output(runner):
     assert result.exit_code == 0
     assert "pro-rata" in result.output
     assert "homogeneity" in result.output
+
+
+# -- exit codes -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["json", "table"])
+def test_negative_precision_is_rejected_before_any_work(runner, two_user_csv,
+                                                        monkeypatch, mode):
+    calls = []
+    monkeypatch.setattr("streamshare.cli.rewards", lambda *args: calls.append(args))
+    result = invoke(runner, "allocate", "-i", two_user_csv, "-o", mode, "--precision", "-1")
+    assert result.exit_code == EXIT_INPUT
+    assert "--precision" in result.stderr
+    assert calls == []
+
+
+def run_cli(*args, stdin=b""):
+    """Run the CLI in a fresh interpreter, so a traceback would reach stderr."""
+    src = str(Path(streamshare.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "streamshare.cli", *args],
+                          input=stdin, capture_output=True, env=env)
+
+
+BAD_INPUTS = {
+    "non-utf8-csv": ("allocate", "-i", "{latin1}"),
+    "deeply-nested-json": ("allocate", "-i", "{deep}"),
+    "deeply-nested-weights-file": ("allocate", "-i", "{csv}", "--method", "weighted-file",
+                                   "--weights-file", "{deep}"),
+    "non-utf8-stdin": ("allocate", "-i", "-", "--format", "csv"),
+    "malformed-weights-file": ("allocate", "-i", "{csv}", "--method", "weighted-file",
+                               "--weights-file", "{weights}"),
+    "banded-alpha-zero": ("allocate", "-i", "{csv}", "--method", "banded",
+                          "--alpha", "0", "--beta", "3"),
+    "unknown-axiom": ("axioms", "--axioms", "nope"),
+    "unknown-index": ("axioms", "--indices", "nope"),
+    "fee-nan": ("allocate", "-i", "{csv}", "--fee", "nan"),
+    "fee-zero-denominator": ("allocate", "-i", "{csv}", "--fee", "1/0"),
+    "fee-negative": ("allocate", "-i", "{csv}", "--fee", "-1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_without_traceback(tmp_path, case):
+    latin1 = "artist,a,b\n1,10,0\n2,0,90\nRöyksopp,1,1\n".encode("latin-1")
+    paths = {"csv": tmp_path / "two.csv", "latin1": tmp_path / "latin1.csv",
+             "weights": tmp_path / "weights.json", "deep": tmp_path / "deep.json"}
+    paths["csv"].write_text(TWO_USER_CSV)
+    paths["latin1"].write_bytes(latin1)
+    paths["weights"].write_text('{"a": 1,')
+    paths["deep"].write_text("[" * 100_000 + "]" * 100_000)
+    args = [arg.format(**paths) for arg in BAD_INPUTS[case]]
+    result = run_cli(*args, stdin=latin1)
+    output = (result.stdout + result.stderr).decode("utf-8", "replace")
+    assert result.returncode == EXIT_INPUT, output
+    assert "Traceback" not in output
+    assert "error: " in output
+
+
+def test_unexpected_exception_is_internal_error(runner, two_user_csv, monkeypatch):
+    def broken(problem):
+        raise ValueError("a bug, not bad input")
+
+    monkeypatch.setattr("streamshare.indices.PRO_RATA", streamshare.Index("pro-rata", broken))
+    result = invoke(runner, "allocate", "-i", two_user_csv)
+    assert result.exit_code == EXIT_INTERNAL
+    assert "internal error" in result.stderr
+    assert "a bug, not bad input" in result.stderr

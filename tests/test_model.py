@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import streamshare
+from streamshare import claims, game
 from streamshare import (
+    PRO_RATA,
     Allocation,
     AllZeroMatrix,
     ArtistMismatch,
@@ -25,6 +28,7 @@ from streamshare import (
     StreamingProblem,
     UnknownArtist,
     UnknownUser,
+    WeightSystem,
     WouldBeEmpty,
     as_rational,
     decimal_display,
@@ -37,7 +41,8 @@ from streamshare import (
     serialize_problem,
     split_problem,
 )
-from streamshare.axioms import ProblemGenerator
+from streamshare.axioms import ProblemGenerator, check_homogeneity
+from streamshare.indices import NonPositiveWeight, weighted_index
 
 from helpers import three_user_problem, two_user_problem
 
@@ -434,3 +439,53 @@ def test_serialization_roundtrip_property(data):
     problem = new_problem(artists, users, cells)
     for fmt in ("csv", "json"):
         assert parse_problem(serialize_problem(problem, fmt), fmt) == problem
+
+
+# -- the one number gate ------------------------------------------------------
+
+INEXACT = st.one_of(st.floats(), st.just(float("nan")), st.booleans(), st.decimals(),
+                    st.none())
+
+
+def _boundaries(problem):
+    """Every public entry point a number crosses, with the error it documents."""
+    def bad_weights(value):
+        return weighted_index(problem, WeightSystem("bad", lambda user, profile: value))
+
+    def bad_issue_weights(value):
+        weights = claims.IssueWeightFunction("bad", lambda totals, endowment: (value,))
+        return weights((Fraction(1),), Fraction(1))
+
+    return [
+        (NonPositiveFee, lambda v: new_problem(["1"], ["a"], [[1]], fee=v)),
+        (TypeError, lambda v: IndexValues(("1",), (v,))),
+        (TypeError, lambda v: Allocation(("1",), (v,))),
+        (TypeError, as_rational),
+        (claims.InvalidProblem, lambda v: claims.BankruptcyProblem(("x",), (v,), 0)),
+        (TypeError, lambda v: claims.BankruptcyProblem(("x",), (1,), v)),
+        (claims.InvalidProblem, lambda v: claims.MultiIssueClaims(("x",), ("a",), ((v,),), 0)),
+        (TypeError, lambda v: claims.MultiIssueClaims(("x",), ("a",), ((1,),), v)),
+        (NonPositiveWeight, bad_weights),
+        (claims.WeightContractViolated, bad_issue_weights),
+        (TypeError, lambda v: game.CoalitionalGame(("1",), (0, v))),
+        (TypeError, lambda v: game.in_core_direct(game.streaming_game(problem), [v, 1])),
+        (TypeError, lambda v: game.in_core_flow(problem, [v, 1])),
+        (TypeError, lambda v: game.reconstruct_from_dividends({1: v}, ["1"])),
+        (TypeError, lambda v: check_homogeneity(PRO_RATA, problem, "1", "2", v)),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(INEXACT)
+def test_every_boundary_rejects_inexact_numbers(value):
+    problem = new_problem(["1", "2"], ["a", "b"], [[2, 0], [1, 3]])
+    for error, construct in _boundaries(problem):
+        with pytest.raises(error):
+            construct(value)
+
+
+def test_every_exported_exception_is_a_model_error():
+    exported = [obj for obj in vars(streamshare).values()
+                if isinstance(obj, type) and issubclass(obj, BaseException)]
+    assert len(exported) >= 20
+    assert [cls.__name__ for cls in exported if not issubclass(cls, ModelError)] == []
