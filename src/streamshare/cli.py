@@ -122,13 +122,16 @@ def _input_options(fn):
     return fn
 
 
-def _output_options(fn):
-    fn = click.option("--output", "-o", "output_mode",
-                      type=click.Choice(("table", "json")), default="table",
-                      help="Print a table or JSON.")(fn)
-    fn = click.option("--precision", type=click.IntRange(min=0), default=4, show_default=True,
-                      help="Decimal places in table mode (display only).")(fn)
-    return fn
+def _output_option(fn):
+    return click.option("--output", "-o", "output_mode",
+                        type=click.Choice(("table", "json")), default="table",
+                        help="Print a table or JSON.")(fn)
+
+
+def _precision_option(fn):
+    """Only for the subcommands whose tables print rounded decimals."""
+    return click.option("--precision", type=click.IntRange(min=0), default=4, show_default=True,
+                        help="Decimal places in table mode (display only).")(fn)
 
 
 def _method_options(fn):
@@ -151,7 +154,8 @@ def cli() -> None:
 @cli.command()
 @_input_options
 @_method_options
-@_output_options
+@_precision_option
+@_output_option
 @_guarded
 def allocate(input_path, input_format, fee, method, alpha, beta, weights_file,
              output_mode, precision) -> None:
@@ -176,7 +180,8 @@ def allocate(input_path, input_format, fee, method, alpha, beta, weights_file,
 
 @cli.command()
 @_input_options
-@_output_options
+@_precision_option
+@_output_option
 @click.option("--method", "methods", type=click.Choice(_METHOD_CHOICES),
               multiple=True, help="Methods to include; repeatable.")
 @click.option("--alpha", type=int, default=None)
@@ -218,7 +223,8 @@ def compare(input_path, input_format, fee, output_mode, precision,
 @cli.command(name="core-check")
 @_input_options
 @_method_options
-@_output_options
+@_precision_option
+@_output_option
 @_guarded
 def core_check(input_path, input_format, fee, method, alpha, beta, weights_file,
                output_mode, precision) -> None:
@@ -272,9 +278,9 @@ def core_check(input_path, input_format, fee, method, alpha, beta, weights_file,
 
 @cli.command()
 @_input_options
-@_output_options
+@_output_option
 @_guarded
-def game(input_path, input_format, fee, output_mode, precision) -> None:
+def game(input_path, input_format, fee, output_mode) -> None:
     """Print the coalition worths, dividends, and the supermodularity check."""
     problem = _load_problem(input_path, input_format, fee)
     try:
@@ -307,7 +313,8 @@ def game(input_path, input_format, fee, output_mode, precision) -> None:
 
 @cli.command()
 @_input_options
-@_output_options
+@_precision_option
+@_output_option
 @click.option("--stage1", type=click.Choice(("proportional", "cea")),
               default="proportional", show_default=True,
               help="Rule dividing the revenue across users.")
@@ -337,7 +344,7 @@ def claims(input_path, input_format, fee, output_mode, precision,
 
 
 @cli.command(name="axioms")
-@_output_options
+@_output_option
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--budget", type=click.IntRange(min=0), default=100, show_default=True,
               help="Random instances searched per (index, property) cell.")
@@ -348,7 +355,7 @@ def claims(input_path, input_format, fee, output_mode, precision,
 @click.option("--alpha", type=int, default=20, show_default=True)
 @click.option("--beta", type=int, default=60, show_default=True)
 @_guarded
-def axioms(output_mode, precision, seed, budget, index_names, axiom_names,
+def axioms(output_mode, seed, budget, index_names, axiom_names,
            alpha, beta) -> None:
     """Check the built-in indices against the fairness properties."""
     catalog = indices_mod.standard_indices(alpha, beta)

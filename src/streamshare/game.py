@@ -14,12 +14,19 @@ other; any disagreement is a bug, never a judgment call.
 
 Coalition values, dividend mappings and list-form allocations pass through
 :func:`model.as_rational`, so an inexact number among them raises TypeError.
+
+Every 2**n table (worths, dividends, running coalition payouts) is computed
+on Python integers over one common denominator, and the Fractions are built
+once, at the end.  Scaling by a positive constant changes no comparison, so
+verdicts, witnesses and values are exactly those of Fraction arithmetic.
 """
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import compress, count
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -93,6 +100,25 @@ class CoalitionalGame:
     def grand_value(self) -> Fraction:
         return self.values[-1]
 
+    @cached_property
+    def _integers(self) -> tuple[int, list[int]]:
+        """``(d, worths)`` with ``values[mask] == worths[mask] / d`` for every mask."""
+        return _over_common_denominator(self.values)
+
+
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The lcm d of the denominators and every value times d, as integers."""
+    d = lcm(*{v.denominator for v in values})
+    if d == 1:
+        return 1, [v.numerator for v in values]
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
+def _fractions(numerators: list[int], denominator: int) -> tuple[Fraction, ...]:
+    """Each numerator over the denominator, with one Fraction per distinct value."""
+    made = {t: Fraction(t, denominator) for t in set(numerators)}
+    return tuple(map(made.__getitem__, numerators))
+
 
 def listened_mask(problem: StreamingProblem, user: str) -> int:
     """The user's listened set as a bitmask over the artist tuple."""
@@ -104,6 +130,23 @@ def listened_mask(problem: StreamingProblem, user: str) -> int:
     return mask
 
 
+def _pairs(n: int, bit: int) -> Iterable[tuple[slice, slice]]:
+    """Slices pairing every n-bit mask that has ``bit`` with the mask without it.
+
+    Low bits come as one strided slice per offset, high bits as one
+    contiguous slice per block, so no bit takes more than about 2**(n/2)
+    slices.
+    """
+    size, step = 1 << n, 1 << bit
+    span = step << 1
+    if step * step <= size:
+        for low in range(step):
+            yield slice(low + step, size, span), slice(low, size, span)
+    else:
+        for start in range(step, size, span):
+            yield slice(start, start + step), slice(start - step, start)
+
+
 def _subset_sums(table: list, n: int, combine=operator.add) -> None:
     """Subset-sum transform over n-bit masks, in place, one bit at a time.
 
@@ -111,10 +154,8 @@ def _subset_sums(table: list, n: int, combine=operator.add) -> None:
     subsets; with ``operator.sub`` the same pass inverts that (Moebius).
     """
     for bit in range(n):
-        step = 1 << bit
-        for mask in range(1 << n):
-            if mask & step:
-                table[mask] = combine(table[mask], table[mask ^ step])
+        for high, low in _pairs(n, bit):
+            table[high] = map(combine, table[high], table[low])
 
 
 def streaming_game(problem: StreamingProblem) -> CoalitionalGame:
@@ -129,10 +170,13 @@ def streaming_game(problem: StreamingProblem) -> CoalitionalGame:
         raise TooManyPlayers(
             f"{n} artists exceeds the {MAX_ENUMERABLE_PLAYERS}-player cap")
     counts = [0] * (1 << n)
-    for user in problem.users:
-        counts[listened_mask(problem, user)] += 1
+    bits = [1 << i for i in range(n)]
+    for column in zip(*problem.streams):
+        counts[sum(compress(bits, column))] += 1
     _subset_sums(counts, n)
-    return CoalitionalGame(problem.artists, tuple(c * problem.fee for c in counts))
+    fee = problem.fee
+    return CoalitionalGame(problem.artists,
+                           _fractions([c * fee.numerator for c in counts], fee.denominator))
 
 
 @dataclass(frozen=True)
@@ -154,11 +198,31 @@ class SupermodularityResult:
 def is_supermodular(game: CoalitionalGame) -> SupermodularityResult:
     """Check v(S + i) - v(S) <= v(T + i) - v(T) for every S inside T.
 
-    Exhaustive over all nested coalition pairs and joining players, so the
-    verdict needs no convexity theory to trust.
+    The verdict comes from the local criterion of Shapley (1971, "Cores of
+    convex games"): v is supermodular exactly when
+    v(S + i + j) - v(S + i) - v(S + j) + v(S) >= 0 for every coalition S
+    and every pair i < j outside it, which takes O(n**2 * 2**n) integer
+    comparisons.  When it fails, the exhaustive scan over nested pairs
+    S inside T and joining players runs, and its first violation is the
+    witness, so the witness does not depend on the test that found it.
+    Streaming games always pass: their Harsanyi dividends are the fee
+    times a user count, never negative (Harsanyi 1963).
     """
-    v = game.values
     n = game.player_count
+    worths = game._integers[1]
+    for i in range(n):
+        gains = [0] * (1 << n)
+        for high, low in _pairs(n, i):
+            gains[high] = map(operator.sub, worths[high], worths[low])
+        for j in range(i + 1, n):
+            for high, low in _pairs(n, j):
+                if not all(map(operator.ge, gains[high], gains[low])):
+                    return SupermodularityResult(False, _first_violation(worths, n))
+    return SupermodularityResult(True)
+
+
+def _first_violation(v: Sequence[int], n: int) -> tuple[int, int, int]:
+    """The first (small, large, bit) with v(small + bit) - v(small) > v(large + bit) - v(large)."""
     full = (1 << n) - 1
     for large in range(1 << n):
         small = large
@@ -167,12 +231,12 @@ def is_supermodular(game: CoalitionalGame) -> SupermodularityResult:
             while outside:
                 bit = outside & -outside
                 if v[small | bit] - v[small] > v[large | bit] - v[large]:
-                    return SupermodularityResult(False, (small, large, bit))
+                    return small, large, bit
                 outside ^= bit
             if small == 0:
                 break
             small = (small - 1) & large
-    return SupermodularityResult(True)
+    raise AssertionError("the pairwise test failed, so some nested pair violates")
 
 
 @dataclass(frozen=True)
@@ -196,9 +260,10 @@ class DividendTable:
 
 def harsanyi_dividends(game: CoalitionalGame) -> DividendTable:
     """Invert the subset-sum relation between worths and dividends."""
-    table = list(game.values)
+    d, worths = game._integers
+    table = list(worths)
     _subset_sums(table, game.player_count, operator.sub)
-    return DividendTable(game.players, tuple(table))
+    return DividendTable(game.players, _fractions(table, d))
 
 
 def reconstruct_from_dividends(
@@ -208,15 +273,16 @@ def reconstruct_from_dividends(
     """Rebuild the worth table from dividends.  Inverse of harsanyi_dividends."""
     if isinstance(dividends, DividendTable):
         players = dividends.players
-        table = list(dividends.dividends)
+        values = dividends.dividends
     else:
         if players is None:
             raise ModelError("players required when dividends come as a mapping")
-        table = [Fraction(0)] * (1 << len(players))
+        values = [Fraction(0)] * (1 << len(players))
         for mask, value in dividends.items():
-            table[mask] = as_rational(value, "dividend")
+            values[mask] = as_rational(value, "dividend")
+    d, table = _over_common_denominator(values)
     _subset_sums(table, len(players))
-    return CoalitionalGame(tuple(players), tuple(table))
+    return CoalitionalGame(tuple(players), _fractions(table, d))
 
 
 @dataclass(frozen=True)
@@ -245,17 +311,30 @@ class DirectCoreResult:
 
 def in_core_direct(game: CoalitionalGame,
                    allocation: Allocation | Sequence[Fraction]) -> DirectCoreResult:
-    """Check core membership by enumerating every coalition."""
+    """Check core membership by enumerating every coalition.
+
+    Coalition payouts are built one player at a time, in increasing mask
+    order, as integers over the lcm of the game's and the allocation's
+    denominators.
+    """
     amounts = _amounts(allocation, game.player_count)
-    n = game.player_count
-    if sum(amounts) != game.grand_value:
+    d, worths = game._integers
+    scale = lcm(d, *(a.denominator for a in amounts))
+    units = [a.numerator * (scale // a.denominator) for a in amounts]
+    factor = scale // d
+    if sum(units) != worths[-1] * factor:
         return DirectCoreResult(False, False, None, game.players)
-    totals = [Fraction(0)] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        totals[mask] = totals[mask ^ low] + amounts[low.bit_length() - 1]
-        if totals[mask] < game.values[mask]:
-            return DirectCoreResult(False, True, mask, game.players)
+    totals = [0]
+    for unit in units:
+        start = len(totals)
+        added = list(map(unit.__add__, totals))
+        floor = worths[start:2 * start]
+        if factor != 1:
+            floor = map(factor.__mul__, floor)
+        blocking = next(compress(count(start), map(operator.lt, added, floor)), None)
+        if blocking is not None:
+            return DirectCoreResult(False, True, blocking, game.players)
+        totals += added
     return DirectCoreResult(True, True, None, game.players)
 
 
@@ -284,16 +363,15 @@ class CoreDecomposition:
             raise ModelError("decomposition indexed by different artists or users")
         if self.fee != problem.fee:
             raise FeeMismatch("decomposition built for a different fee")
-        for user, row in zip(self.users, self.shares):
+        for user, row, column in zip(self.users, self.shares, zip(*problem.streams)):
             if len(row) != len(self.artists):
                 raise DimensionMismatch("ragged decomposition row")
             if any(x < 0 for x in row):
                 raise ModelError(f"negative share for user {user!r}")
             if sum(row) != self.fee:
                 raise ModelError(f"user {user!r} shares do not sum to the fee")
-            listened = problem.listened_set(user)
-            for artist, x in zip(self.artists, row):
-                if x > 0 and artist not in listened:
+            for artist, x, streams in zip(self.artists, row, column):
+                if x > 0 and not streams:
                     raise ModelError(
                         f"user {user!r} pays artist {artist!r} they never streamed")
 
@@ -435,8 +513,7 @@ def in_domain_pstar(problem: StreamingProblem) -> bool:
     """
     if problem.user_count < 3:
         return False
-    full = frozenset(problem.artists)
-    return all(problem.listened_set(u) != full for u in problem.users)
+    return all(0 in column for column in zip(*problem.streams))
 
 
 # -- serialization -----------------------------------------------------

@@ -2,20 +2,31 @@
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
+from typing import Mapping, Sequence
 
 from streamshare import (
+    Allocation,
     BankruptcyProblem,
+    CoalitionalGame,
+    DirectCoreResult,
+    DividendTable,
     IndexValues,
     InvalidProblem,
     IssueWeightFunction,
+    ModelError,
     MultiIssueClaims,
     StreamingProblem,
+    SupermodularityResult,
+    TooManyPlayers,
     WeightSystem,
+    as_rational,
     cea_awards,
     new_problem,
 )
+from streamshare.game import MAX_ENUMERABLE_PLAYERS, _amounts, listened_mask
 
 
 def two_user_problem(fee: int | Fraction = 1) -> StreamingProblem:
@@ -177,3 +188,89 @@ def reference_two_stage_rule(problem: MultiIssueClaims, issue_stage, agent_stage
         for i, award in enumerate(column_awards):
             awards[i] += award
     return tuple(awards)
+
+
+# -- reference coalition loops ------------------------------------------------
+#
+# The Fraction loops over 2**n coalitions that built streaming games, checked
+# supermodularity over every nested pair, enumerated the core and ran the
+# Moebius transforms before the coalition layer moved to integers over one
+# common denominator.  Kept unchanged as the reference for the differential
+# test of that layer.
+
+
+def reference_subset_sums(table: list, n: int, combine=operator.add) -> None:
+    for bit in range(n):
+        step = 1 << bit
+        for mask in range(1 << n):
+            if mask & step:
+                table[mask] = combine(table[mask], table[mask ^ step])
+
+
+def reference_streaming_game(problem: StreamingProblem) -> CoalitionalGame:
+    n = problem.artist_count
+    if n > MAX_ENUMERABLE_PLAYERS:
+        raise TooManyPlayers(
+            f"{n} artists exceeds the {MAX_ENUMERABLE_PLAYERS}-player cap")
+    counts = [0] * (1 << n)
+    for user in problem.users:
+        counts[listened_mask(problem, user)] += 1
+    reference_subset_sums(counts, n)
+    return CoalitionalGame(problem.artists, tuple(c * problem.fee for c in counts))
+
+
+def reference_is_supermodular(game: CoalitionalGame) -> SupermodularityResult:
+    v = game.values
+    n = game.player_count
+    full = (1 << n) - 1
+    for large in range(1 << n):
+        small = large
+        while True:
+            outside = full & ~large
+            while outside:
+                bit = outside & -outside
+                if v[small | bit] - v[small] > v[large | bit] - v[large]:
+                    return SupermodularityResult(False, (small, large, bit))
+                outside ^= bit
+            if small == 0:
+                break
+            small = (small - 1) & large
+    return SupermodularityResult(True)
+
+
+def reference_harsanyi_dividends(game: CoalitionalGame) -> DividendTable:
+    table = list(game.values)
+    reference_subset_sums(table, game.player_count, operator.sub)
+    return DividendTable(game.players, tuple(table))
+
+
+def reference_reconstruct_from_dividends(
+    dividends: DividendTable | Mapping[int, Fraction],
+    players: Sequence[str] | None = None,
+) -> CoalitionalGame:
+    if isinstance(dividends, DividendTable):
+        players = dividends.players
+        table = list(dividends.dividends)
+    else:
+        if players is None:
+            raise ModelError("players required when dividends come as a mapping")
+        table = [Fraction(0)] * (1 << len(players))
+        for mask, value in dividends.items():
+            table[mask] = as_rational(value, "dividend")
+    reference_subset_sums(table, len(players))
+    return CoalitionalGame(tuple(players), tuple(table))
+
+
+def reference_in_core_direct(game: CoalitionalGame,
+                             allocation: Allocation | Sequence[Fraction]) -> DirectCoreResult:
+    amounts = _amounts(allocation, game.player_count)
+    n = game.player_count
+    if sum(amounts) != game.grand_value:
+        return DirectCoreResult(False, False, None, game.players)
+    totals = [Fraction(0)] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        totals[mask] = totals[mask ^ low] + amounts[low.bit_length() - 1]
+        if totals[mask] < game.values[mask]:
+            return DirectCoreResult(False, True, mask, game.players)
+    return DirectCoreResult(True, True, None, game.players)

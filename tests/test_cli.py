@@ -336,6 +336,26 @@ def test_claims_output_is_pinned(runner, tmp_path, stage1, stage2):
     assert digest == PINNED_CLAIMS_SHA256[stage1, stage2]
 
 
+# Every worth and dividend of one seeded 8-artist game, and a pro-rata payout
+# that is out of core with its blocking coalition printed, at fee 7/2.
+PINNED_GAME_SHA256 = {
+    "game": "c93cdf5d4d616682ce644d3f27fb7be3d73fef65d36479cac0ac51e8fa2b9670",
+    "core-check": "2077f62db9441b798262170a749b0dcd71c50d242eb2f92ecd680909b8cf72aa",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_GAME_SHA256))
+def test_coalition_output_is_pinned(runner, tmp_path, command):
+    path = tmp_path / "catalog.csv"
+    path.write_text(seeded_catalog_csv(seed=3, artists=8, users=60))
+    method = ("--method", "pro-rata") if command == "core-check" else ()
+    result = invoke(runner, command, *method, "-i", str(path), "--fee", "7/2", "-o", "json")
+    assert result.exit_code == 0
+    if command == "core-check":
+        assert json.loads(result.output)["blocking_coalition"] == ["a3"]
+    assert hashlib.sha256(result.output.encode()).hexdigest() == PINNED_GAME_SHA256[command]
+
+
 # -- axioms ----------------------------------------------------------------------
 
 
@@ -454,6 +474,18 @@ def test_bad_input_exits_2_without_traceback(tmp_path, case):
     assert result.returncode == EXIT_INPUT, output
     assert "Traceback" not in output
     assert "error: " in output
+
+
+@pytest.mark.parametrize("command", ["axioms", "game"])
+def test_precision_is_not_an_option_of_integer_output(tmp_path, command):
+    path = tmp_path / "two.csv"
+    path.write_text(TWO_USER_CSV)
+    source = ("-i", str(path)) if command == "game" else ()
+    result = run_cli(command, *source, "--precision", "4")
+    output = (result.stdout + result.stderr).decode()
+    assert result.returncode == EXIT_INPUT, output
+    assert "No such option" in output and "--precision" in output
+    assert "Traceback" not in output
 
 
 def test_unexpected_exception_is_internal_error(runner, two_user_csv, monkeypatch):

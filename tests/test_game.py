@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ import pytest
 from streamshare import (
     Allocation,
     CoalitionalGame,
+    CoreDecomposition,
+    ModelError,
     NotInCore,
     PRO_RATA,
     TooManyPlayers,
@@ -32,7 +35,15 @@ from streamshare.game import (
     listened_mask,
 )
 
-from helpers import perturbed_allocation, random_member
+from helpers import (
+    perturbed_allocation,
+    random_member,
+    reference_harsanyi_dividends,
+    reference_in_core_direct,
+    reference_is_supermodular,
+    reference_reconstruct_from_dividends,
+    reference_streaming_game,
+)
 
 F = Fraction
 
@@ -126,6 +137,27 @@ def test_supermodularity_witness_on_handmade_game():
     gain_small = g.values[small | bit] - g.values[small]
     gain_large = g.values[large | bit] - g.values[large]
     assert gain_large < gain_small
+
+
+def seeded_streaming_problem(seed: int, artists: int, users: int):
+    """Each user streams one to five artists, the low-numbered ones more often."""
+    rng = random.Random(seed)
+    streams = [[0] * users for _ in range(artists)]
+    weights = [1 / (i + 1) for i in range(artists)]
+    for j in range(users):
+        for i in set(rng.choices(range(artists), weights, k=rng.randint(1, 5))):
+            streams[i][j] = rng.randint(1, 40)
+    return new_problem([f"a{i}" for i in range(artists)], [f"u{j}" for j in range(users)],
+                       streams, fee=F(7, 3))
+
+
+def test_sixteen_artist_game_is_supermodular_and_round_trips():
+    g = streaming_game(seeded_streaming_problem(seed=16, artists=16, users=400))
+    result = is_supermodular(g)
+    assert result.holds is True and result.witness is None
+    dividends = harsanyi_dividends(g)
+    assert min(dividends.dividends) >= 0
+    assert reconstruct_from_dividends(dividends).values == g.values
 
 
 # -- dividends ----------------------------------------------------------------
@@ -263,6 +295,145 @@ def test_fractional_fee_flow(two_user):
     result = in_core_flow(p, pay)
     assert result
     result.decomposition.validate(p)
+
+
+# -- differential: integer coalition tables against the Fraction loops ----------
+
+
+def arbitrary_games(seed: int, count: int):
+    """Seeded games of 1-7 players with negative and non-integer worths.
+
+    A third have arbitrary worths (rarely supermodular), a third nonnegative
+    dividends on every coalition of two or more (always supermodular, with
+    negative singletons), and a third are the latter with one worth nudged.
+    """
+    rng = random.Random(seed)
+    for k in range(count):
+        n = rng.randint(1, 7)
+        players = tuple(f"p{i}" for i in range(n))
+        if k % 3 == 0:
+            values = [F(0)] + [F(rng.randint(-20, 20), rng.randint(1, 6))
+                               for _ in range((1 << n) - 1)]
+            yield CoalitionalGame(players, tuple(values))
+            continue
+        dividends = {}
+        for mask in range(1, 1 << n):
+            if mask & (mask - 1) == 0:
+                dividends[mask] = F(rng.randint(-9, 9), rng.randint(1, 4))
+            elif rng.random() < 0.5:
+                dividends[mask] = F(rng.randint(0, 6), rng.randint(1, 5))
+        game = reference_reconstruct_from_dividends(dividends, players)
+        if k % 3 == 2:
+            values = list(game.values)
+            values[rng.randrange(1, 1 << n)] += F(rng.choice((-1, 1)), rng.randint(1, 3))
+            game = CoalitionalGame(players, tuple(values))
+        yield game
+
+
+def marginal_vector(game: CoalitionalGame, order: list[int]) -> list[Fraction]:
+    amounts = [F(0)] * game.player_count
+    mask = 0
+    for i in order:
+        amounts[i] = game.values[mask | 1 << i] - game.values[mask]
+        mask |= 1 << i
+    return amounts
+
+
+def probe_allocations(game: CoalitionalGame, rng: random.Random) -> list[list[Fraction]]:
+    """Marginal vectors, transfers between them, and allocations with wrong totals."""
+    n = game.player_count
+    order = list(range(n))
+    probes = []
+    for _ in range(3):
+        rng.shuffle(order)
+        amounts = marginal_vector(game, order)
+        probes.append(list(amounts))
+        i, k = rng.randrange(n), rng.randrange(n)
+        shift = F(rng.randint(1, 5), rng.randint(1, 4))
+        amounts[i] += shift
+        amounts[k] -= shift
+        probes.append(list(amounts))
+        amounts[rng.randrange(n)] += F(1, rng.randint(1, 7))
+        probes.append(amounts)
+    return probes
+
+
+def assert_same_fractions(actual: tuple, expected: tuple) -> None:
+    assert all(type(x) is Fraction for x in actual)
+    assert list(map(str, actual)) == list(map(str, expected))
+
+
+def assert_coalition_layer_matches_reference(game, allocations) -> None:
+    assert is_supermodular(game) == reference_is_supermodular(game)
+    dividends = harsanyi_dividends(game)
+    reference = reference_harsanyi_dividends(game)
+    assert dividends.players == reference.players
+    assert_same_fractions(dividends.dividends, reference.dividends)
+    assert_same_fractions(reconstruct_from_dividends(dividends).values, game.values)
+    mapping = {mask: value for mask, value in reference.nonzero()}
+    assert_same_fractions(reconstruct_from_dividends(mapping, game.players).values,
+                          reference_reconstruct_from_dividends(mapping, game.players).values)
+    for amounts in allocations:
+        assert in_core_direct(game, amounts) == reference_in_core_direct(game, amounts)
+
+
+def test_coalition_layer_matches_reference_on_arbitrary_games():
+    rng = random.Random(61)
+    verdicts, blocking, inefficient = Counter(), Counter(), 0
+    for game in arbitrary_games(seed=60, count=240):
+        allocations = probe_allocations(game, rng)
+        assert_coalition_layer_matches_reference(game, allocations)
+        verdicts[bool(is_supermodular(game)), game.player_count > 1] += 1
+        for amounts in allocations:
+            result = in_core_direct(game, amounts)
+            inefficient += not result.efficient
+            blocking[result.blocking_mask is not None] += 1
+    assert verdicts[True, True] >= 60 and verdicts[False, True] >= 60
+    assert inefficient >= 100 and blocking[True] >= 100 and blocking[False] >= 100
+
+
+def test_coalition_layer_matches_reference_on_streaming_games():
+    rng = random.Random(62)
+    for k, problem in enumerate(ProblemGenerator(seed=63, max_artists=7).sample(120)):
+        if k % 2:
+            problem = problem.with_fee(F(5, 3))
+        game = streaming_game(problem)
+        reference = reference_streaming_game(problem)
+        assert game.players == reference.players
+        assert_same_fractions(game.values, reference.values)
+        allocations = [perturbed_allocation(problem, rng), random_member(problem, rng),
+                       rewards(problem, PRO_RATA(problem)),
+                       rewards(problem, USER_CENTRIC(problem))]
+        assert_coalition_layer_matches_reference(game, allocations)
+
+
+def test_validate_and_domain_agree_with_listened_sets():
+    rng = random.Random(64)
+    moved = 0
+    for problem in ProblemGenerator(seed=65, max_artists=5, max_users=7).sample(80):
+        full = frozenset(problem.artists)
+        assert in_domain_pstar(problem) == (
+            problem.user_count >= 3
+            and all(problem.listened_set(u) != full for u in problem.users))
+        decomposition = in_core_flow(problem, random_member(problem, rng)).decomposition
+        decomposition.validate(problem)
+        strays = [(j, i) for j, user in enumerate(problem.users)
+                  for i, artist in enumerate(problem.artists)
+                  if artist not in problem.listened_set(user)]
+        if not strays:
+            continue
+        # Move one user's share onto an artist that user never streamed.
+        j, i = rng.choice(strays)
+        shares = [list(row) for row in decomposition.shares]
+        source = next(k for k, x in enumerate(shares[j]) if x > 0)
+        shares[j][i], shares[j][source] = shares[j][source], shares[j][i]
+        broken = CoreDecomposition(problem.artists, problem.users,
+                                   tuple(map(tuple, shares)), problem.fee)
+        message = f"user {problem.users[j]!r} pays artist {problem.artists[i]!r} they never"
+        with pytest.raises(ModelError, match=re.escape(message)):
+            broken.validate(problem)
+        moved += 1
+    assert moved >= 40
 
 
 # -- restricted domain ----------------------------------------------------------
