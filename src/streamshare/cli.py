@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from itertools import compress
 
 import click
 
@@ -29,7 +30,7 @@ EXIT_INTERNAL = 3
 
 
 class OracleDisagreement(RuntimeError):
-    """The enumeration and flow core oracles returned different verdicts."""
+    """The two core oracles disagree, or a flow-only witness fails its recheck."""
 
 
 def _guarded(fn):
@@ -220,6 +221,14 @@ def compare(input_path, input_format, fee, output_mode, precision,
     _echo_table(headers, rows)
 
 
+def _blocks(problem: model.StreamingProblem, payout: model.Allocation,
+            coalition: frozenset[str]) -> bool:
+    """Whether the coalition is paid less than the fees of the users who stream only inside it."""
+    inside = [a in coalition for a in problem.artists]
+    audience = sum(all(compress(inside, column)) for column in zip(*problem.streams))
+    return problem.fee * audience > sum(payout[a] for a in coalition)
+
+
 @cli.command(name="core-check")
 @_input_options
 @_method_options
@@ -239,6 +248,10 @@ def core_check(input_path, input_format, fee, method, alpha, beta, weights_file,
         if direct.in_core != flow.in_core:
             raise OracleDisagreement(
                 f"direct oracle says {direct.in_core}, flow oracle says {flow.in_core}")
+    elif flow.blocking_coalition is not None and not _blocks(
+            problem, payout, flow.blocking_coalition):
+        raise OracleDisagreement(
+            f"flow oracle's coalition {sorted(flow.blocking_coalition)} does not block")
     in_core = flow.in_core
     blocking = (sorted(direct.blocking_coalition)
                 if direct is not None and direct.blocking_coalition is not None else None)

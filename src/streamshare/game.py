@@ -366,30 +366,46 @@ class CoreDecomposition:
         for user, row, column in zip(self.users, self.shares, zip(*problem.streams)):
             if len(row) != len(self.artists):
                 raise DimensionMismatch("ragged decomposition row")
-            if any(x < 0 for x in row):
+            paid = list(compress(zip(self.artists, row, column), row))
+            if any(x < 0 for _, x, _ in paid):
                 raise ModelError(f"negative share for user {user!r}")
-            if sum(row) != self.fee:
+            if sum(x for _, x, _ in paid) != self.fee:
                 raise ModelError(f"user {user!r} shares do not sum to the fee")
-            for artist, x, streams in zip(self.artists, row, column):
-                if x > 0 and not streams:
+            for artist, _, streams in paid:
+                if not streams:
                     raise ModelError(
                         f"user {user!r} pays artist {artist!r} they never streamed")
 
 
 @dataclass(frozen=True)
 class FlowCoreResult:
-    """Verdict of the flow oracle, with the decomposition when it exists."""
+    """Verdict of the flow oracle, with the decomposition when it exists.
+
+    When the fees cannot all be routed, ``blocking_coalition`` names the
+    artists on the source side of a minimum cut, a coalition paid less than
+    its worth.  It is None for in-core verdicts and for allocations screened
+    out before the network is built.
+    """
 
     in_core: bool
     decomposition: CoreDecomposition | None
     reason: str = ""
+    blocking_coalition: frozenset[str] | None = None
 
     def __bool__(self) -> bool:
         return self.in_core
 
 
 class _FlowNetwork:
-    """Minimal integer max-flow with shortest augmenting paths."""
+    """Integer max-flow by Dinic's algorithm (Dinic 1970).
+
+    Each phase runs one BFS over arcs with residual capacity, labelling every
+    node with its distance from the source, and then saturates that level
+    graph with a blocking flow.  The blocking flow walks a per-node arc
+    pointer and keeps the current path on an explicit stack, so it uses no
+    recursion and handles networks of any depth.  There are at most V
+    phases of O(VE) each, O(V**2 E) in total.
+    """
 
     def __init__(self, nodes: int):
         self.adj: list[list[int]] = [[] for _ in range(nodes)]
@@ -406,36 +422,56 @@ class _FlowNetwork:
         self.cap.append(0)
         return idx
 
+    def levels(self, source: int) -> list[int]:
+        """Residual distance of every node from the source, -1 if unreachable."""
+        to, cap = self.to, self.cap
+        level = [-1] * len(self.adj)
+        level[source] = 0
+        queue = [source]
+        for u in queue:
+            step = level[u] + 1
+            for idx in self.adj[u]:
+                v = to[idx]
+                if level[v] < 0 and cap[idx]:
+                    level[v] = step
+                    queue.append(v)
+        return level
+
     def max_flow(self, source: int, sink: int) -> int:
+        adj, to, cap = self.adj, self.to, self.cap
         total = 0
         while True:
-            parent_edge = [-1] * len(self.adj)
-            parent_edge[source] = -2
-            queue = [source]
-            for u in queue:
-                if u == sink:
-                    break
-                for idx in self.adj[u]:
-                    v = self.to[idx]
-                    if parent_edge[v] == -1 and self.cap[idx] > 0:
-                        parent_edge[v] = idx
-                        queue.append(v)
-            if parent_edge[sink] == -1:
+            level = self.levels(source)
+            if level[sink] < 0:
                 return total
-            bottleneck = None
-            v = sink
-            while v != source:
-                idx = parent_edge[v]
-                if bottleneck is None or self.cap[idx] < bottleneck:
-                    bottleneck = self.cap[idx]
-                v = self.to[idx ^ 1]
-            v = sink
-            while v != source:
-                idx = parent_edge[v]
-                self.cap[idx] -= bottleneck
-                self.cap[idx ^ 1] += bottleneck
-                v = self.to[idx ^ 1]
-            total += bottleneck
+            pointer = [0] * len(adj)
+            path: list[int] = []
+            u = source
+            while True:
+                if u == sink:
+                    pushed = min(map(cap.__getitem__, path))
+                    for idx in path:
+                        cap[idx] -= pushed
+                        cap[idx ^ 1] += pushed
+                    total += pushed
+                    # Resume from the tail of the first arc the push saturated.
+                    first = next(k for k, idx in enumerate(path) if not cap[idx])
+                    u = to[path[first] ^ 1]
+                    del path[first:]
+                    continue
+                arcs = adj[u]
+                i, end, step = pointer[u], len(arcs), level[u] + 1
+                while i < end and not (cap[arcs[i]] and level[to[arcs[i]]] == step):
+                    i += 1
+                pointer[u] = i
+                if i < end:
+                    path.append(arcs[i])
+                    u = to[arcs[i]]
+                elif path:
+                    u = to[path.pop() ^ 1]
+                    pointer[u] += 1
+                else:
+                    break
 
     def flow_through(self, idx: int) -> int:
         return self.cap[idx ^ 1]
@@ -444,26 +480,27 @@ class _FlowNetwork:
 def _solve_flow(problem: StreamingProblem, amounts: tuple[Fraction, ...]):
     """Build and solve the fee-routing network after clearing denominators.
 
-    Returns (network, edge index per (user, artist) arc, scale, target).
-    Feasibility of routing every fee means the allocation is in the core.
+    Node 0 is the source, users are nodes 1..m, artists m+1..m+n, and the
+    sink comes last.  Returns (network, (artist, arc) pairs per user, scale,
+    whether every fee was routed).  Routing every fee means the allocation
+    is in the core.
     """
     n, m = problem.artist_count, problem.user_count
     scale = lcm(problem.fee.denominator, *(a.denominator for a in amounts))
-    fee_units = problem.fee * scale
+    fee_units = int(problem.fee * scale)
     source, sink = 0, 1 + m + n
     net = _FlowNetwork(n + m + 2)
     for j in range(m):
-        net.add_edge(source, 1 + j, int(fee_units))
-    arc_index: dict[tuple[int, int], int] = {}
+        net.add_edge(source, 1 + j, fee_units)
+    user_arcs: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     for i, row in enumerate(problem.streams):
         for j, count in enumerate(row):
             if count > 0:
-                arc_index[(j, i)] = net.add_edge(1 + j, 1 + m + i, int(fee_units))
+                user_arcs[j].append((i, net.add_edge(1 + j, 1 + m + i, fee_units)))
     for i, amount in enumerate(amounts):
         net.add_edge(1 + m + i, sink, int(amount * scale))
-    target = int(m * fee_units)
     value = net.max_flow(source, sink)
-    return net, arc_index, scale, value == target
+    return net, user_arcs, scale, value == m * fee_units
 
 
 def in_core_flow(problem: StreamingProblem,
@@ -474,22 +511,32 @@ def in_core_flow(problem: StreamingProblem,
     artists that user streamed, filling each artist's payout exactly.
     Negative entries and wrong totals are screened out before the network
     is built.
+
+    When the flow falls short, the artists S reachable from the source in
+    the residual network form a blocking coalition (max-flow/min-cut; Gale
+    1957).  A user-to-artist arc saturates only when the user's whole fee
+    goes to that artist, and the user is then reachable only through that
+    artist; so every artist a reachable user streamed lies in S.  The cut
+    costs x(S) plus the fees of the unreachable users, and it is below the
+    sum of all fees, so x(S) < fee * #{users whose listened set lies in S},
+    the worth of S.
     """
     amounts = _amounts(allocation, problem.artist_count)
     if any(a < 0 for a in amounts):
         return FlowCoreResult(False, None, "negative amount")
     if sum(amounts) != problem.revenue:
         return FlowCoreResult(False, None, "amounts do not sum to the revenue")
-    net, arc_index, scale, feasible = _solve_flow(problem, amounts)
+    net, user_arcs, scale, feasible = _solve_flow(problem, amounts)
     if not feasible:
-        return FlowCoreResult(False, None, "some user's fee cannot reach their artists")
+        level = net.levels(0)[1 + problem.user_count:-1]
+        coalition = frozenset(a for a, d in zip(problem.artists, level) if d >= 0)
+        return FlowCoreResult(False, None, "some user's fee cannot reach their artists",
+                              coalition)
     shares = []
-    for j, user in enumerate(problem.users):
+    for arcs in user_arcs:
         row = [Fraction(0)] * problem.artist_count
-        for i in range(problem.artist_count):
-            idx = arc_index.get((j, i))
-            if idx is not None:
-                row[i] = Fraction(net.flow_through(idx), scale)
+        for i, idx in arcs:
+            row[i] = Fraction(net.flow_through(idx), scale)
         shares.append(tuple(row))
     decomposition = CoreDecomposition(
         problem.artists, problem.users, tuple(shares), problem.fee)
@@ -522,19 +569,32 @@ def _coalition_key(game_players: tuple[str, ...], mask: int) -> str:
     return ",".join(p for i, p in enumerate(game_players) if mask >> i & 1)
 
 
+def _coalition_keys(players: tuple[str, ...]) -> list[str]:
+    """``_coalition_key`` of every mask, in one concatenation per mask.
+
+    The masks whose highest player is p are the smaller masks with p appended.
+    """
+    keys = [""]
+    for player in players:
+        keys += [player] + [key + "," + player for key in keys[1:]]
+    return keys
+
+
 def game_to_dict(game: CoalitionalGame) -> dict:
     """JSON-ready dict: players plus a worth per nonempty coalition."""
+    keys = _coalition_keys(game.players)
     return {
         "players": list(game.players),
-        "values": {
-            _coalition_key(game.players, mask): str(game.values[mask])
-            for mask in range(1, 1 << game.player_count)
-        },
+        "values": dict(zip(keys[1:], map(str, game.values[1:]))),
     }
 
 
 def dividends_to_dict(table: DividendTable) -> dict:
-    """JSON-ready dict of the nonzero dividends."""
+    """JSON-ready dict of the nonzero dividends.
+
+    A streaming game has a nonzero dividend only on listened sets, so keys
+    are joined per nonzero mask rather than tabled for all 2**n.
+    """
     return {
         "players": list(table.players),
         "dividends": {

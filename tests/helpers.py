@@ -5,6 +5,7 @@ from __future__ import annotations
 import operator
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from streamshare import (
@@ -13,6 +14,7 @@ from streamshare import (
     CoalitionalGame,
     DirectCoreResult,
     DividendTable,
+    FlowCoreResult,
     IndexValues,
     InvalidProblem,
     IssueWeightFunction,
@@ -22,6 +24,7 @@ from streamshare import (
     SupermodularityResult,
     TooManyPlayers,
     WeightSystem,
+    CoreDecomposition,
     as_rational,
     cea_awards,
     new_problem,
@@ -274,3 +277,99 @@ def reference_in_core_direct(game: CoalitionalGame,
         if totals[mask] < game.values[mask]:
             return DirectCoreResult(False, True, mask, game.players)
     return DirectCoreResult(True, True, None, game.players)
+
+
+# -- reference max-flow -------------------------------------------------------
+#
+# The Edmonds-Karp network, one full BFS per augmenting path, and the flow core
+# oracle on top of it, as they ran before Dinic's algorithm.  Kept unchanged as
+# the reference for the differential test of the flow layer.
+
+
+class ReferenceFlowNetwork:
+    """Minimal integer max-flow with shortest augmenting paths."""
+
+    def __init__(self, nodes: int):
+        self.adj: list[list[int]] = [[] for _ in range(nodes)]
+        self.to: list[int] = []
+        self.cap: list[int] = []
+
+    def add_edge(self, u: int, v: int, capacity: int) -> int:
+        idx = len(self.to)
+        self.adj[u].append(idx)
+        self.to.append(v)
+        self.cap.append(capacity)
+        self.adj[v].append(idx + 1)
+        self.to.append(u)
+        self.cap.append(0)
+        return idx
+
+    def max_flow(self, source: int, sink: int) -> int:
+        total = 0
+        while True:
+            parent_edge = [-1] * len(self.adj)
+            parent_edge[source] = -2
+            queue = [source]
+            for u in queue:
+                if u == sink:
+                    break
+                for idx in self.adj[u]:
+                    v = self.to[idx]
+                    if parent_edge[v] == -1 and self.cap[idx] > 0:
+                        parent_edge[v] = idx
+                        queue.append(v)
+            if parent_edge[sink] == -1:
+                return total
+            bottleneck = None
+            v = sink
+            while v != source:
+                idx = parent_edge[v]
+                if bottleneck is None or self.cap[idx] < bottleneck:
+                    bottleneck = self.cap[idx]
+                v = self.to[idx ^ 1]
+            v = sink
+            while v != source:
+                idx = parent_edge[v]
+                self.cap[idx] -= bottleneck
+                self.cap[idx ^ 1] += bottleneck
+                v = self.to[idx ^ 1]
+            total += bottleneck
+
+    def flow_through(self, idx: int) -> int:
+        return self.cap[idx ^ 1]
+
+
+def reference_in_core_flow(problem: StreamingProblem,
+                           allocation: Allocation | Sequence[Fraction]) -> FlowCoreResult:
+    amounts = _amounts(allocation, problem.artist_count)
+    if any(a < 0 for a in amounts):
+        return FlowCoreResult(False, None, "negative amount")
+    if sum(amounts) != problem.revenue:
+        return FlowCoreResult(False, None, "amounts do not sum to the revenue")
+    n, m = problem.artist_count, problem.user_count
+    scale = lcm(problem.fee.denominator, *(a.denominator for a in amounts))
+    fee_units = problem.fee * scale
+    source, sink = 0, 1 + m + n
+    net = ReferenceFlowNetwork(n + m + 2)
+    for j in range(m):
+        net.add_edge(source, 1 + j, int(fee_units))
+    arc_index: dict[tuple[int, int], int] = {}
+    for i, row in enumerate(problem.streams):
+        for j, count in enumerate(row):
+            if count > 0:
+                arc_index[(j, i)] = net.add_edge(1 + j, 1 + m + i, int(fee_units))
+    for i, amount in enumerate(amounts):
+        net.add_edge(1 + m + i, sink, int(amount * scale))
+    if net.max_flow(source, sink) != int(m * fee_units):
+        return FlowCoreResult(False, None, "some user's fee cannot reach their artists")
+    shares = []
+    for j, user in enumerate(problem.users):
+        row = [Fraction(0)] * problem.artist_count
+        for i in range(problem.artist_count):
+            idx = arc_index.get((j, i))
+            if idx is not None:
+                row[i] = Fraction(net.flow_through(idx), scale)
+        shares.append(tuple(row))
+    decomposition = CoreDecomposition(
+        problem.artists, problem.users, tuple(shares), problem.fee)
+    return FlowCoreResult(True, decomposition)

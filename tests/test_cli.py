@@ -252,6 +252,39 @@ def test_core_check_many_artists_skips_direct_oracle(runner, tmp_path):
     assert "flow-only mode" in table.output
 
 
+def wide_catalog(tmp_path, rows: list[str]) -> str:
+    path = tmp_path / "wide.csv"
+    path.write_text("\n".join(["artist,u1,u2"] + rows) + "\n")
+    return str(path)
+
+
+def test_core_check_flow_only_out_of_core(runner, tmp_path):
+    # u1 streams only x0 once; u2 streams all 21 artists, so pro-rata pays x0
+    # 101/2101 of the two fees, less than u1's fee alone.
+    path = wide_catalog(tmp_path, [f"x{i},{int(i == 0)},100" for i in range(21)])
+    result = invoke(runner, "core-check", "-i", path, "-o", "json")
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert payload["oracles"] == {"direct": None, "flow": False}
+    assert payload["blocking_coalition"] is None
+    table = invoke(runner, "core-check", "-i", path)
+    assert table.exit_code == 0
+    assert "verdict: NOT IN CORE" in table.output
+
+
+def test_core_check_flow_only_rechecks_the_min_cut_coalition(runner, tmp_path, monkeypatch):
+    path = wide_catalog(tmp_path, [f"x{i},{1 - i % 2},{i % 2}" for i in range(25)])
+
+    def non_blocking_flow(problem, allocation):
+        # Nobody streams only x0, so {x0} is worth 0 and its payout does not block.
+        return FlowCoreResult(False, None, "cut", frozenset({"x0"}))
+
+    monkeypatch.setattr("streamshare.game.in_core_flow", non_blocking_flow)
+    result = invoke(runner, "core-check", "-i", path, "--method", "user-centric")
+    assert result.exit_code == EXIT_INTERNAL
+    assert "OracleDisagreement" in result.stderr and "does not block" in result.stderr
+
+
 # -- game -----------------------------------------------------------------
 
 
@@ -354,6 +387,23 @@ def test_coalition_output_is_pinned(runner, tmp_path, command):
     if command == "core-check":
         assert json.loads(result.output)["blocking_coalition"] == ["a3"]
     assert hashlib.sha256(result.output.encode()).hexdigest() == PINNED_GAME_SHA256[command]
+
+
+# The full user-centric core-check on the same catalog, flow decomposition
+# included: every user's fee split, as the flow oracle routes it.
+PINNED_USER_CENTRIC_CORE_CHECK_SHA256 = (
+    "106be0b2d3bed5b82de8f63cad77d31f83a1eeae000ee53c7205bfd7c405c24f")
+
+
+def test_user_centric_core_check_output_is_pinned(runner, tmp_path):
+    path = tmp_path / "catalog.csv"
+    path.write_text(seeded_catalog_csv(seed=3, artists=8, users=60))
+    result = invoke(runner, "core-check", "--method", "user-centric", "-i", str(path),
+                    "--fee", "7/2", "-o", "json")
+    assert result.exit_code == 0
+    assert json.loads(result.output)["in_core"] is True
+    digest = hashlib.sha256(result.output.encode()).hexdigest()
+    assert digest == PINNED_USER_CENTRIC_CORE_CHECK_SHA256
 
 
 # -- axioms ----------------------------------------------------------------------

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from streamshare import (
 )
 from streamshare.axioms import ProblemGenerator
 from streamshare.game import (
+    _FlowNetwork,
     decomposition_to_dict,
     dividends_to_dict,
     game_to_dict,
@@ -36,9 +38,11 @@ from streamshare.game import (
 )
 
 from helpers import (
+    ReferenceFlowNetwork,
     perturbed_allocation,
     random_member,
     reference_harsanyi_dividends,
+    reference_in_core_flow,
     reference_in_core_direct,
     reference_is_supermodular,
     reference_reconstruct_from_dividends,
@@ -297,6 +301,145 @@ def test_fractional_fee_flow(two_user):
     result.decomposition.validate(p)
 
 
+def test_validate_rejects_negative_and_unbalanced_rows(two_user):
+    def broken(rows):
+        return CoreDecomposition(two_user.artists, two_user.users, rows, two_user.fee)
+
+    with pytest.raises(ModelError, match="negative share for user 'a'"):
+        broken(((F(2), F(-1)), (F(0), F(1)))).validate(two_user)
+    with pytest.raises(ModelError, match="user 'b' shares do not sum to the fee"):
+        broken(((F(1), F(0)), (F(0), F(1, 2)))).validate(two_user)
+    with pytest.raises(ModelError, match="user 'a' shares do not sum to the fee"):
+        broken(((F(0), F(0)), (F(0), F(1)))).validate(two_user)
+
+
+# -- the flow oracle: Dinic against Edmonds-Karp, and the min-cut witness ------
+
+
+def audience_worth(problem, coalition: frozenset[str]) -> Fraction:
+    """Fee times the users whose listened set lies in the coalition, in O(nm)."""
+    inside = [a in coalition for a in problem.artists]
+    audience = sum(all(s for s, c in zip(inside, column) if c)
+                   for column in zip(*problem.streams))
+    return audience * problem.fee
+
+
+def test_max_flow_matches_edmonds_karp_on_random_networks():
+    rng = random.Random(70)
+    positive = 0
+    for _ in range(1500):
+        nodes = rng.randint(2, 9)
+        source, sink = rng.sample(range(nodes), 2)
+        dinic, reference = _FlowNetwork(nodes), ReferenceFlowNetwork(nodes)
+        arcs = [(rng.randrange(nodes), rng.randrange(nodes)) for _ in range(rng.randint(0, 24))]
+        # Parallel arcs, arcs straight from source to sink, and zero capacities.
+        arcs += [arcs[0]] * rng.randint(0, 2) if arcs else []
+        arcs += [(source, sink)] * rng.randint(0, 1)
+        for u, v in arcs:
+            capacity = rng.choice((0, 0, 1, 2, 3, 5, 8, 13, 10**20))
+            assert dinic.add_edge(u, v, capacity) == reference.add_edge(u, v, capacity)
+        value = dinic.max_flow(source, sink)
+        assert value == reference.max_flow(source, sink)
+        positive += value > 0
+        # The final residual network has no augmenting path left.
+        assert dinic.levels(source)[sink] == -1
+    assert positive >= 500
+
+
+def test_max_flow_on_a_path_deeper_than_the_recursion_limit():
+    depth = sys.getrecursionlimit() + 500
+    net = _FlowNetwork(depth + 1)
+    for u in range(depth):
+        net.add_edge(u, u + 1, 7 + u % 5)
+        if u % 3 == 0:
+            net.add_edge(u, u + 1, 1)  # a parallel arc every third hop
+    assert net.max_flow(0, depth) == 7
+
+
+def test_flow_oracle_matches_edmonds_karp_on_generated_problems():
+    rng = random.Random(71)
+    verdicts = Counter()
+    for k, problem in enumerate(ProblemGenerator(seed=72, max_artists=7, max_users=9).sample(150)):
+        if k % 2:
+            problem = problem.with_fee(F(7, 2))
+        for amounts in (random_member(problem, rng), perturbed_allocation(problem, rng),
+                        rewards(problem, PRO_RATA(problem)).amounts):
+            result = in_core_flow(problem, amounts)
+            reference = reference_in_core_flow(problem, amounts)
+            assert result.in_core == reference.in_core
+            assert result.reason == reference.reason
+            if result.in_core:
+                assert result.decomposition.shares == reference.decomposition.shares
+            verdicts[result.in_core] += 1
+    assert verdicts[True] >= 200 and verdicts[False] >= 50
+
+
+def drained_allocation(problem, rng: random.Random) -> list[Fraction]:
+    """A core member with one artist's whole payout moved to another; never negative."""
+    amounts = random_member(problem, rng)
+    i, k = rng.sample(range(problem.artist_count), 2)
+    amounts[i] += amounts[k]
+    amounts[k] = F(0)
+    return amounts
+
+
+def test_flow_blocking_coalition_blocks():
+    rng = random.Random(73)
+    blocked = 0
+    generator = ProblemGenerator(seed=74, max_artists=7, max_users=9, min_artists=3,
+                                 sparsity=0.75)
+    for k, problem in enumerate(generator.sample(400)):
+        if k % 2:
+            problem = problem.with_fee(F(5, 3))
+        g = streaming_game(problem)
+        for amounts in (drained_allocation(problem, rng),
+                        rewards(problem, PRO_RATA(problem)).amounts):
+            result = in_core_flow(problem, amounts)
+            if result.in_core:
+                assert result.blocking_coalition is None
+                continue
+            coalition = result.blocking_coalition
+            assert coalition
+            paid = sum(a for artist, a in zip(problem.artists, amounts) if artist in coalition)
+            assert audience_worth(problem, coalition) > paid
+            assert audience_worth(problem, coalition) == g.value(g.mask_of(coalition))
+            blocked += 1
+    assert blocked >= 150
+
+
+def test_screened_allocations_name_no_coalition(two_user):
+    negative = in_core_flow(two_user, [F(3), F(-1)])
+    short = in_core_flow(two_user, [F(1), F(1, 2)])
+    assert (negative.reason, short.reason) == (
+        "negative amount", "amounts do not sum to the revenue")
+    assert negative.blocking_coalition is None and short.blocking_coalition is None
+    cut = in_core_flow(two_user, [F(1, 2), F(3, 2)])
+    assert cut.blocking_coalition == {"1"}
+
+
+def test_flow_only_scale_user_centric_is_in_core():
+    rng = random.Random(75)
+    n, m = 200, 4000
+    columns = []
+    for _ in range(m):
+        column = [rng.randint(1, 30) if rng.random() < 0.05 else 0 for _ in range(n)]
+        if not any(column):
+            column[rng.randrange(n)] = rng.randint(1, 3)
+        columns.append(column)
+    problem = new_problem([f"a{i}" for i in range(n)], [f"u{j}" for j in range(m)],
+                          [[column[i] for column in columns] for i in range(n)])
+    payout = rewards(problem, USER_CENTRIC(problem))
+    result = in_core_flow(problem, payout)
+    assert result and result.blocking_coalition is None
+    result.decomposition.validate(problem)
+    paid = [F(0)] * n
+    for row in result.decomposition.shares:
+        for i, x in enumerate(row):
+            if x:
+                paid[i] += x
+    assert tuple(paid) == payout.amounts
+
+
 # -- differential: integer coalition tables against the Fraction loops ----------
 
 
@@ -456,6 +599,15 @@ def test_domain_membership(two_user, three_user):
 def test_game_to_dict(two_user):
     payload = game_to_dict(streaming_game(two_user))
     assert payload["values"] == {"1": "1", "2": "1", "1,2": "2"}
+
+
+def test_coalition_keys_list_members_in_player_order():
+    players = tuple(f"p{i}" for i in range(9))
+    game = CoalitionalGame(players, tuple(F(mask) for mask in range(1 << 9)))
+    values = game_to_dict(game)["values"]
+    assert list(values) == [",".join(p for i, p in enumerate(players) if mask >> i & 1)
+                            for mask in range(1, 1 << 9)]
+    assert values["p0,p3,p8"] == str(1 | 1 << 3 | 1 << 8)
 
 
 def test_dividends_to_dict(three_user):
