@@ -368,7 +368,7 @@ def _resampled_column(problem: StreamingProblem, user: str,
     streams = tuple(
         tuple(column[i] if k == j else row[k] for k in range(problem.user_count))
         for i, row in enumerate(problem.streams))
-    return StreamingProblem(problem.artists, problem.users, streams, problem.fee)
+    return StreamingProblem._trusted(problem.artists, problem.users, streams, problem.fee)
 
 
 def reference_fraud_pairs() -> tuple[tuple[StreamingProblem, StreamingProblem, str], ...]:

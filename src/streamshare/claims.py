@@ -10,12 +10,11 @@ ration each issue's award across agents.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence, Union
 
-from .model import ModelError, StreamingProblem, as_rational
+from .model import ModelError, StreamingProblem, _exact_sum, as_rational
 
 
 class InvalidProblem(ModelError):
@@ -29,17 +28,6 @@ class WeightContractViolated(ModelError):
 def _rational_tuple(values: Sequence, what: str) -> tuple[Fraction, ...]:
     label = f"{what} must be exact rationals; each entry"
     return tuple(as_rational(v, label, InvalidProblem) for v in values)
-
-
-def _exact_sum(values) -> Fraction:
-    """Sum rationals as integers over the lcm of their denominators.
-
-    Adding Fractions one at a time reduces by a gcd at every step; summing
-    numerators over one common denominator reduces once, at the end.
-    """
-    pairs = [v.as_integer_ratio() for v in values]
-    common = math.lcm(*(d for _, d in pairs))
-    return Fraction(sum(n * (common // d) for n, d in pairs), common)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .model import (Allocation, DimensionMismatch, DuplicateIdentifier, FeeMismatch, ModelError,
-                    StreamingProblem, as_rational)
+                    StreamingProblem, _exact_sum, as_rational)
 
 MAX_ENUMERABLE_PLAYERS = 20
 
@@ -353,9 +353,11 @@ class CoreDecomposition:
     fee: Fraction
 
     def allocation(self) -> Allocation:
-        amounts = [sum(row[i] for row in self.shares)
-                   for i in range(len(self.artists))]
-        return Allocation(self.artists, tuple(amounts))
+        # A user pays only the artists they streamed, so most shares are zero
+        # and only the nonzero ones are summed.
+        columns = zip(*self.shares) if self.shares else [()] * len(self.artists)
+        return Allocation(self.artists, tuple(_exact_sum(filter(None, column))
+                                              for column in columns))
 
     def validate(self, problem: StreamingProblem) -> None:
         """Raise if any decomposition invariant fails against the problem."""

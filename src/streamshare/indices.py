@@ -82,6 +82,17 @@ class BandedWeightParams:
                 f"need 0 < alpha <= beta, got alpha={self.alpha}, beta={self.beta}")
 
 
+def _scores(artists: tuple[str, ...], numerators: list[int], common: int) -> IndexValues:
+    """Scores ``numerators[i] / common``, built without revalidation.
+
+    Every built-in kernel computes nonnegative integer numerators over one
+    positive denominator, with at least one numerator positive, so the
+    entries and their exact total need no further checks.
+    """
+    return IndexValues._trusted(artists, tuple(Fraction(n, common) for n in numerators),
+                                Fraction(sum(numerators), common))
+
+
 def weighted_index(problem: StreamingProblem, weights: WeightSystem) -> IndexValues:
     """Score artists by weighted stream counts, one weight per user.
 
@@ -91,9 +102,9 @@ def weighted_index(problem: StreamingProblem, weights: WeightSystem) -> IndexVal
     per_user = [weights(u, col) for u, col in zip(problem.users, zip(*problem.streams))]
     common = lcm(*(w.denominator for w in per_user))
     scaled = [w.numerator * (common // w.denominator) for w in per_user]
-    return IndexValues(problem.artists, tuple(
-        Fraction(sum(w * c for w, c in zip(scaled, row) if c), common)
-        for row in problem.streams))
+    return _scores(problem.artists,
+                   [sum(w * c for w, c in zip(scaled, row) if c) for row in problem.streams],
+                   common)
 
 
 _UNIT = WeightSystem("unit", lambda user, profile: 1)
@@ -164,8 +175,10 @@ def rewards(problem: StreamingProblem, values: IndexValues) -> Allocation:
     if total <= 0:
         raise ZeroIndexSum("cannot divide revenue over an all-zero index")
     revenue = problem.revenue
-    return Allocation(problem.artists,
-                      tuple(s * revenue / total for s in values.scores))
+    factor = revenue / total
+    # The amounts sum to ``revenue`` exactly, so that is their total.
+    return Allocation._trusted(problem.artists, tuple(s * factor for s in values.scores),
+                               revenue)
 
 
 # -- reference indices with known defects --------------------------------
@@ -176,7 +189,7 @@ def rewards(problem: StreamingProblem, values: IndexValues) -> Allocation:
 
 def uniform_index(problem: StreamingProblem) -> IndexValues:
     """Every artist scores 1, no matter what anybody streamed."""
-    return IndexValues(problem.artists, tuple(Fraction(1) for _ in problem.artists))
+    return _scores(problem.artists, [1] * problem.artist_count, 1)
 
 
 def padded_share_index(problem: StreamingProblem) -> IndexValues:
@@ -186,36 +199,36 @@ def padded_share_index(problem: StreamingProblem) -> IndexValues:
     ``(count(i,j) + total(i)) / (user_total(j) + grand_total)``.
     """
     grand = problem.total_streams
-    row_totals = [sum(row) for row in problem.streams]
-    col_totals = [sum(col) for col in zip(*problem.streams)]
-    scores = []
-    for row, rt in zip(problem.streams, row_totals):
-        scores.append(sum((Fraction(c + rt, ct + grand) for c, ct in zip(row, col_totals)),
-                          Fraction(0)))
-    return IndexValues(problem.artists, tuple(scores))
+    denominators = [sum(col) + grand for col in zip(*problem.streams)]
+    common = lcm(*denominators)
+    scales = [common // d for d in denominators]
+    numerators = []
+    for row in problem.streams:
+        rt = sum(row)
+        numerators.append(sum((c + rt) * k for c, k in zip(row, scales)))
+    return _scores(problem.artists, numerators, common)
 
 
 def squared_streams_index(problem: StreamingProblem) -> IndexValues:
     """Score each artist by the sum of squared per-user counts."""
-    scores = tuple(Fraction(sum(c * c for c in row)) for row in problem.streams)
-    return IndexValues(problem.artists, scores)
+    return _scores(problem.artists, [sum(c * c for c in row) for row in problem.streams], 1)
 
 
 def stream_share_index(problem: StreamingProblem) -> IndexValues:
     """The artist's share of all streams, scaled by the user count."""
-    grand = problem.total_streams
     m = problem.user_count
-    scores = tuple(Fraction(sum(row) * m, grand) for row in problem.streams)
-    return IndexValues(problem.artists, scores)
+    return _scores(problem.artists, [sum(row) * m for row in problem.streams],
+                   problem.total_streams)
 
 
 def equal_split_index(problem: StreamingProblem) -> IndexValues:
     """Each user splits one unit equally over the artists they streamed."""
     sizes = [len(col) - col.count(0) for col in zip(*problem.streams)]
-    scores = []
-    for row in problem.streams:
-        scores.append(sum((Fraction(1, k) for c, k in zip(row, sizes) if c), Fraction(0)))
-    return IndexValues(problem.artists, tuple(scores))
+    common = lcm(*sizes)
+    shares = [common // k for k in sizes]
+    return _scores(problem.artists,
+                   [sum(s for c, s in zip(row, shares) if c) for row in problem.streams],
+                   common)
 
 
 PRO_RATA = Index("pro-rata", pro_rata_index)

@@ -11,8 +11,11 @@ All arithmetic is exact: stream counts are integers and money amounts are
 from __future__ import annotations
 
 import json
+import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from numbers import Rational
 from typing import ClassVar, Iterable, Mapping, Sequence
 
@@ -92,14 +95,19 @@ class ParseError(ModelError):
         self.field = field
 
 
+_RATIONAL_TEXT = re.compile(r"\s*[+-]?\d+(?:/\d+)?\s*")
+
+
 def as_rational(value: int | str | Fraction, what: str = "value",
                 error: type[Exception] = TypeError) -> Fraction:
     """The one number gate: coerce ``value`` to an exact Fraction.
 
     Accepts Fractions (returned as they are), ints, any other
-    ``numbers.Rational`` and strings like ``"3/4"``; a malformed string raises
-    ParseError.  bool, float, Decimal, None and every other type raise
-    ``error``, so no inexact number can leak into a computation.
+    ``numbers.Rational`` and strings holding an integer or ``"p/q"``.  Any
+    other string, decimal and exponent notation such as ``"0.5"`` or
+    ``"1e3"`` included, raises ParseError.  bool, float, Decimal, None and
+    every other type raise ``error``, so no inexact number can leak into a
+    computation.
     """
     kind = type(value)
     if kind is Fraction:
@@ -107,10 +115,24 @@ def as_rational(value: int | str | Fraction, what: str = "value",
     if kind is not int and (kind is bool or not isinstance(value, (str, Rational))):
         raise error(f"{what} must be an exact rational (int, Fraction, or 'p/q' string), "
                     f"got {kind.__name__}")
+    if isinstance(value, str) and not _RATIONAL_TEXT.fullmatch(value):
+        raise ParseError(f"{what} {value!r} is not a valid rational: "
+                         "expected an integer or 'p/q'")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{what} {value!r} is not a valid rational: {exc}") from None
+
+
+def _exact_sum(values) -> Fraction:
+    """Sum rationals as integers over the lcm of their denominators.
+
+    Adding Fractions one at a time reduces by a gcd at every step; summing
+    numerators over one common denominator reduces once, at the end.
+    """
+    pairs = [v.as_integer_ratio() for v in values]
+    common = math.lcm(*(d for _, d in pairs))
+    return Fraction(sum(n * (common // d) for n, d in pairs), common)
 
 
 def decimal_display(value: Fraction, places: int) -> str:
@@ -138,8 +160,10 @@ class StreamingProblem:
     ``streams[i][j]`` is the number of times user ``users[j]`` streamed
     artist ``artists[i]``.  Rows may be all zero (an artist nobody played)
     but columns may not: a paying user with no streams has no defined way
-    to split their fee.  Instances are immutable and validated on
-    construction, so any reachable problem is well formed.
+    to split their fee.  Instances are immutable.  Public construction
+    validates; derived problems (a removed, selected or reordered user set,
+    a merge) are valid by construction and skip the checks, so any
+    reachable problem is well formed.
     """
 
     artists: tuple[str, ...]
@@ -183,6 +207,26 @@ class StreamingProblem:
             if all(row[j] == 0 for row in self.streams):
                 raise EmptyUserColumn(user)
 
+    @classmethod
+    def _trusted(cls, artists: tuple[str, ...], users: tuple[str, ...],
+                 streams: tuple[tuple[int, ...], ...], fee: Fraction) -> "StreamingProblem":
+        """A problem from fields already known to be valid; skips ``__post_init__``.
+
+        Only for problems derived from valid ones: every argument must already
+        have the type and the invariants that ``__post_init__`` establishes.
+        """
+        problem = object.__new__(cls)
+        vars(problem).update(artists=artists, users=users, streams=streams, fee=fee)
+        return problem
+
+    @cached_property
+    def _artist_position(self) -> dict[str, int]:
+        return {a: i for i, a in enumerate(self.artists)}
+
+    @cached_property
+    def _user_position(self) -> dict[str, int]:
+        return {u: j for j, u in enumerate(self.users)}
+
     # -- aggregates ----------------------------------------------------
 
     @property
@@ -204,14 +248,14 @@ class StreamingProblem:
 
     def artist_index(self, artist: str) -> int:
         try:
-            return self.artists.index(artist)
-        except ValueError:
+            return self._artist_position[artist]
+        except (KeyError, TypeError):
             raise UnknownArtist(artist) from None
 
     def user_index(self, user: str) -> int:
         try:
-            return self.users.index(user)
-        except ValueError:
+            return self._user_position[user]
+        except (KeyError, TypeError):
             raise UnknownUser(user) from None
 
     def count(self, artist: str, user: str) -> int:
@@ -250,7 +294,7 @@ class StreamingProblem:
             raise WouldBeEmpty("removing the only user leaves nothing to divide")
         users = self.users[:j] + self.users[j + 1:]
         streams = tuple(row[:j] + row[j + 1:] for row in self.streams)
-        return StreamingProblem(self.artists, users, streams, self.fee)
+        return StreamingProblem._trusted(self.artists, users, streams, self.fee)
 
     def with_fee(self, fee: int | str | Fraction) -> "StreamingProblem":
         return StreamingProblem(self.artists, self.users, self.streams, fee)
@@ -265,7 +309,7 @@ class StreamingProblem:
             raise InvalidPartition("user subset is empty")
         users = tuple(self.users[j] for j in cols)
         streams = tuple(tuple(row[j] for j in cols) for row in self.streams)
-        return StreamingProblem(self.artists, users, streams, self.fee)
+        return StreamingProblem._trusted(self.artists, users, streams, self.fee)
 
 
 def new_problem(
@@ -285,11 +329,12 @@ def reorder_users(problem: StreamingProblem, users: Sequence[str]) -> StreamingP
     comparing problems that differ only in column order, such as a merge
     of two split halves against the original.
     """
+    users = tuple(users)
     if sorted(users) != sorted(problem.users):
         raise InvalidPartition("user order must be a permutation of the users")
     positions = [problem.user_index(u) for u in users]
     streams = tuple(tuple(row[j] for j in positions) for row in problem.streams)
-    return StreamingProblem(problem.artists, tuple(users), streams, problem.fee)
+    return StreamingProblem._trusted(problem.artists, users, streams, problem.fee)
 
 
 def merge_problems(first: StreamingProblem, second: StreamingProblem) -> StreamingProblem:
@@ -307,7 +352,7 @@ def merge_problems(first: StreamingProblem, second: StreamingProblem) -> Streami
         raise OverlappingUsers(f"shared users: {sorted(set(first.users) & set(second.users))}")
     users = first.users + second.users
     streams = tuple(a + b for a, b in zip(first.streams, second.streams))
-    return StreamingProblem(first.artists, users, streams, first.fee)
+    return StreamingProblem._trusted(first.artists, users, streams, first.fee)
 
 
 def split_problem(
@@ -336,7 +381,8 @@ class _ArtistValues:
     """Base of IndexValues and Allocation: one exact rational per artist.
 
     ``_field`` names the value field; ``_positive`` forbids an all-zero total.
-    Entries are checked once; ``total`` and an artist lookup dict are stored.
+    The public constructor checks the entries once and stores ``total``;
+    ``_trusted`` stores values and a total that the caller built exactly.
     """
 
     artists: tuple[str, ...]
@@ -348,13 +394,29 @@ class _ArtistValues:
         values = tuple(as_rational(v, self._field) for v in getattr(self, self._field))
         if len(self.artists) != len(values):
             raise DimensionMismatch(f"one entry of {self._field} per artist required")
-        if any(v < 0 for v in values):
+        if any(v.as_integer_ratio()[0] < 0 for v in values):
             raise ModelError(f"{self._field} must be nonnegative")
         object.__setattr__(self, self._field, values)
-        object.__setattr__(self, "total", sum(values, Fraction(0)))
+        object.__setattr__(self, "total", _exact_sum(values))
         if self._positive and self.total <= 0:
             raise ModelError(f"{self._field} must not all be zero")
-        object.__setattr__(self, "_position", {a: i for i, a in enumerate(self.artists)})
+
+    @classmethod
+    def _trusted(cls, artists: tuple[str, ...], values: tuple[Fraction, ...],
+                 total: Fraction):
+        """Values whose checks the caller guarantees; skips ``__post_init__``.
+
+        ``values`` must be nonnegative Fractions, one per artist, and
+        ``total`` must equal their sum exactly (and be positive for
+        IndexValues).
+        """
+        out = object.__new__(cls)
+        vars(out).update({"artists": artists, cls._field: values, "total": total})
+        return out
+
+    @cached_property
+    def _position(self) -> dict[str, int]:
+        return {a: i for i, a in enumerate(self.artists)}
 
     def __getitem__(self, artist: str) -> Fraction:
         try:

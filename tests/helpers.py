@@ -135,6 +135,80 @@ def reference_weighted_index(problem: StreamingProblem, weights: WeightSystem) -
     return IndexValues(problem.artists, tuple(scores))
 
 
+# -- reference Fraction-sum kernels and totals ------------------------------
+#
+# The built-in kernels, the values total and the payout rule as they ran when
+# every score was a Fraction added one at a time and every IndexValues and
+# Allocation was revalidated.  Kept unchanged as the reference for the
+# differential test of the integer-numerator kernels and the trusted
+# construction of their values.
+
+
+def reference_uniform_scores(problem: StreamingProblem) -> tuple[Fraction, ...]:
+    return tuple(Fraction(1) for _ in problem.artists)
+
+
+def reference_padded_share_scores(problem: StreamingProblem) -> tuple[Fraction, ...]:
+    grand = problem.total_streams
+    row_totals = [sum(row) for row in problem.streams]
+    col_totals = [sum(col) for col in zip(*problem.streams)]
+    scores = []
+    for row, rt in zip(problem.streams, row_totals):
+        scores.append(sum((Fraction(c + rt, ct + grand) for c, ct in zip(row, col_totals)),
+                          Fraction(0)))
+    return tuple(scores)
+
+
+def reference_squared_streams_scores(problem: StreamingProblem) -> tuple[Fraction, ...]:
+    return tuple(Fraction(sum(c * c for c in row)) for row in problem.streams)
+
+
+def reference_stream_share_scores(problem: StreamingProblem) -> tuple[Fraction, ...]:
+    grand = problem.total_streams
+    m = problem.user_count
+    return tuple(Fraction(sum(row) * m, grand) for row in problem.streams)
+
+
+def reference_equal_split_scores(problem: StreamingProblem) -> tuple[Fraction, ...]:
+    sizes = [len(col) - col.count(0) for col in zip(*problem.streams)]
+    scores = []
+    for row in problem.streams:
+        scores.append(sum((Fraction(1, k) for c, k in zip(row, sizes) if c), Fraction(0)))
+    return tuple(scores)
+
+
+REFERENCE_KERNEL_SCORES = {
+    "pro-rata": lambda problem: reference_pro_rata_index(problem).scores,
+    "user-centric": lambda problem: reference_user_centric_index(problem).scores,
+    "uniform": reference_uniform_scores,
+    "padded-share": reference_padded_share_scores,
+    "squared-streams": reference_squared_streams_scores,
+    "stream-share": reference_stream_share_scores,
+    "equal-split": reference_equal_split_scores,
+}
+
+
+def reference_total(values: Sequence[Fraction]) -> Fraction:
+    return sum(values, Fraction(0))
+
+
+def reference_rewards(problem: StreamingProblem,
+                      values: IndexValues) -> tuple[Fraction, ...]:
+    total = reference_total(values.scores)
+    revenue = problem.revenue
+    return tuple(s * revenue / total for s in values.scores)
+
+
+def reference_decomposition_amounts(decomposition: CoreDecomposition) -> tuple[Fraction, ...]:
+    return tuple(sum(row[i] for row in decomposition.shares)
+                 for i in range(len(decomposition.artists)))
+
+
+def revalidated(problem: StreamingProblem) -> StreamingProblem:
+    """The same fields passed again through the validating constructor."""
+    return new_problem(problem.artists, problem.users, problem.streams, problem.fee)
+
+
 # -- reference claims loops --------------------------------------------------
 #
 # The running Fraction sums that computed the proportional rule, the issue-size

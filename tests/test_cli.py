@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import streamshare
 from streamshare.cli import EXIT_INPUT, EXIT_INTERNAL, cli
@@ -547,3 +549,76 @@ def test_unexpected_exception_is_internal_error(runner, two_user_csv, monkeypatc
     assert result.exit_code == EXIT_INTERNAL
     assert "internal error" in result.stderr
     assert "a bug, not bad input" in result.stderr
+
+
+# -- bad numbers on every subcommand, by property ---------------------------------
+#
+# In-process through CliRunner, so many inputs stay cheap; the subprocess table
+# above stays as the check that no traceback reaches stderr.
+
+# Every place a subcommand reads a number: an option, or ("weights") the entry
+# for user "a" in a --weights-file.
+NUMBER_SLOTS = [
+    *((command, slot) for command in ("allocate", "compare", "core-check")
+      for slot in ("--fee", "--alpha", "--beta", "weights")),
+    ("claims", "--fee"),
+    ("game", "--fee"),
+    ("axioms", "--alpha"),
+    ("axioms", "--beta"),
+    ("axioms", "--budget"),
+]
+
+# (command-line text, JSON value) pairs; each is a float, a bool, a NaN or
+# infinity, or a negative number.
+BAD_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: (repr(x), x)),
+    st.sampled_from([("true", True), ("false", False), ("True", True), ("False", False)]),
+    st.sampled_from(["nan", "NaN", "inf", "-inf"]).map(lambda text: (text, float(text))),
+    st.integers(max_value=-1).map(lambda k: (str(k), k)),
+    st.tuples(st.integers(max_value=-1), st.integers(min_value=2, max_value=9)).map(
+        lambda pq: (f"{pq[0]}/{pq[1]}",) * 2),
+)
+
+
+@pytest.fixture(scope="module")
+def number_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("numbers")
+    csv_path = root / "two.csv"
+    csv_path.write_text(TWO_USER_CSV)
+    return str(csv_path), root / "weights.json"
+
+
+def number_command(command, slot, text, value, paths):
+    """The command line that puts one number into ``slot`` and keeps the rest valid."""
+    csv_path, weights_path = paths
+    if command == "axioms":
+        options = {"--indices": "banded", "--axioms": "homogeneity", "--budget": "0",
+                   "--alpha": "2", "--beta": "50"}
+    else:
+        options = {"--input": csv_path}
+        if slot in ("--alpha", "--beta"):
+            options.update({"--method": "banded", "--alpha": "2", "--beta": "50"})
+        elif slot == "weights":
+            options.update({"--method": "weighted-file", "--weights-file": str(weights_path)})
+    if slot == "weights":
+        weights_path.write_text(json.dumps({"a": value, "b": 1}))
+    else:
+        options[slot] = text
+    return [command, *(f"{option}={arg}" for option, arg in options.items())]
+
+
+@pytest.mark.parametrize("command, slot", NUMBER_SLOTS)
+def test_every_number_slot_accepts_a_good_number(number_paths, command, slot):
+    result = CliRunner().invoke(cli, number_command(command, slot, "3", 3, number_paths))
+    assert result.exit_code == 0, result.output
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(NUMBER_SLOTS), BAD_NUMBERS)
+def test_bad_numbers_exit_2_on_every_subcommand(number_paths, case, bad):
+    args = number_command(*case, *bad, number_paths)
+    result = CliRunner().invoke(cli, args)
+    assert result.exit_code == EXIT_INPUT, (args, result.output)
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert "error: " in result.stderr.lower()

@@ -17,6 +17,7 @@ from streamshare import (
     PRO_RATA,
     TooManyPlayers,
     USER_CENTRIC,
+    banded_index,
     extract_decomposition,
     harsanyi_dividends,
     in_core_direct,
@@ -41,6 +42,7 @@ from helpers import (
     ReferenceFlowNetwork,
     perturbed_allocation,
     random_member,
+    reference_decomposition_amounts,
     reference_harsanyi_dividends,
     reference_in_core_flow,
     reference_in_core_direct,
@@ -438,6 +440,29 @@ def test_flow_only_scale_user_centric_is_in_core():
             if x:
                 paid[i] += x
     assert tuple(paid) == payout.amounts
+
+
+def test_decomposition_allocation_matches_reference_column_sums():
+    for seed in range(3):
+        rng = random.Random(seed)
+        n, m = 30, 500
+        columns = []
+        for _ in range(m):
+            column = [rng.randint(1, 30) if rng.random() < 0.08 else 0 for _ in range(n)]
+            if not any(column):
+                column[rng.randrange(n)] = rng.randint(1, 3)
+            columns.append(column)
+        problem = new_problem([f"a{i}" for i in range(n)], [f"u{j}" for j in range(m)],
+                              [[column[i] for column in columns] for i in range(n)],
+                              fee=F(7, 3))
+        for index in (USER_CENTRIC, banded_index(5, 40)):
+            payout = rewards(problem, index(problem))
+            decomposition = in_core_flow(problem, payout).decomposition
+            allocation = decomposition.allocation()
+            assert allocation.amounts == reference_decomposition_amounts(decomposition)
+            assert allocation == payout
+    empty = CoreDecomposition(("1", "2"), (), (), F(1))
+    assert empty.allocation().amounts == reference_decomposition_amounts(empty) == (0, 0)
 
 
 # -- differential: integer coalition tables against the Fraction loops ----------

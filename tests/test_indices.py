@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamshare import (
+    Allocation,
     BandedWeightParams,
     EQUAL_SPLIT,
     Index,
@@ -34,7 +35,10 @@ from streamshare import (
 from streamshare.axioms import ProblemGenerator
 
 from helpers import (
+    REFERENCE_KERNEL_SCORES,
     reference_pro_rata_index,
+    reference_rewards,
+    reference_total,
     reference_user_centric_index,
     reference_weighted_index,
     sparse_problem_with_silent_artists,
@@ -113,6 +117,26 @@ def test_weighted_kernel_matches_reference_loops():
         assert USER_CENTRIC(problem) == reference_user_centric_index(problem)
         for ws in (banded, table):
             assert weighted_index(problem, ws) == reference_weighted_index(problem, ws)
+
+
+def test_builtin_kernels_match_fraction_sums_and_payouts_total_the_revenue():
+    kernels = {idx.name: idx for idx in (PRO_RATA, USER_CENTRIC, *REFERENCE_INDICES)}
+    assert sorted(kernels) == sorted(REFERENCE_KERNEL_SCORES)
+    problems = ProblemGenerator(seed=23, max_artists=7, max_users=9, max_streams=40,
+                                fee=F(5, 2)).sample(150)
+    for problem in problems + [sparse_problem_with_silent_artists(24, fee=F(7, 3))]:
+        for name, index in kernels.items():
+            values = index(problem)
+            expected = REFERENCE_KERNEL_SCORES[name](problem)
+            assert values.scores == expected
+            assert values.total == reference_total(expected)
+            assert values == IndexValues(problem.artists, expected)
+        for index in (*kernels.values(), banded_index(20, 60)):
+            values = index(problem)
+            payout = rewards(problem, values)
+            assert payout.amounts == reference_rewards(problem, values)
+            assert payout.total == reference_total(payout.amounts) == problem.revenue
+            assert payout == Allocation(problem.artists, payout.amounts)
 
 
 def test_weight_system_must_be_positive_and_exact():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -41,10 +42,10 @@ from streamshare import (
     serialize_problem,
     split_problem,
 )
-from streamshare.axioms import ProblemGenerator, check_homogeneity
+from streamshare.axioms import ProblemGenerator, _resampled_column, check_homogeneity
 from streamshare.indices import NonPositiveWeight, weighted_index
 
-from helpers import three_user_problem, two_user_problem
+from helpers import revalidated, three_user_problem, two_user_problem
 
 
 # -- construction and aggregates ---------------------------------------
@@ -270,6 +271,60 @@ def test_fans_listened_duality_generated():
             assert problem.listened_set(user)  # never empty by construction
 
 
+# -- derived problems skip revalidation ------------------------------------
+
+
+def _assert_same_as_revalidated(derived: StreamingProblem) -> None:
+    reference = revalidated(derived)
+    assert derived == reference and hash(derived) == hash(reference)
+    assert [type(field) for field in (derived.artists, derived.users, derived.streams)] == [
+        tuple, tuple, tuple]
+    assert all(type(row) is tuple for row in derived.streams)
+    assert type(derived.fee) is Fraction
+    assert [derived.user_index(u) for u in derived.users] == list(range(derived.user_count))
+    assert [derived.artist_index(a) for a in derived.artists] == list(
+        range(derived.artist_count))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_trusted_derived_problems_match_validated_construction(seed):
+    rng = random.Random(seed)
+    derived = 0
+    for problem in ProblemGenerator(seed=seed).sample(200):
+        users = problem.users
+        if len(users) > 1:
+            for user in users:
+                _assert_same_as_revalidated(problem.remove_user(user))
+            chosen = rng.sample(users, rng.randrange(1, len(users)))
+            first, second = split_problem(problem, chosen)
+            merged = merge_problems(first, second)
+            for part in (first, second, merged, reorder_users(merged, users)):
+                _assert_same_as_revalidated(part)
+            assert reorder_users(merged, users) == problem
+            derived += len(users) + 4
+        _assert_same_as_revalidated(problem.select_users(rng.sample(users, 1)))
+        _assert_same_as_revalidated(reorder_users(problem, rng.sample(users, len(users))))
+        for user in users:
+            _assert_same_as_revalidated(_resampled_column(problem, user, rng))
+        derived += 2 + len(users)
+    assert derived > 1000
+
+
+def test_trusted_problems_pickle_and_look_up_like_validated_ones(three_user):
+    derived = three_user.select_users(["c", "a"])
+    assert derived.user_index("c") == 1 and derived.artist_index("2") == 1
+    assert reorder_users(three_user, iter(["c", "b", "a"])) == reorder_users(
+        three_user, ["c", "b", "a"])
+    copy = pickle.loads(pickle.dumps(derived))
+    assert copy == derived and hash(copy) == hash(derived)
+    assert copy.user_index("c") == 1
+    for bad in ("z", ["a"]):
+        with pytest.raises(UnknownUser):
+            derived.user_index(bad)
+        with pytest.raises(UnknownArtist):
+            derived.artist_index(bad)
+
+
 # -- rationals and display -------------------------------------------------
 
 
@@ -288,6 +343,12 @@ def test_as_rational_rejects_inexact_types(bad):
 @pytest.mark.parametrize("bad", ["1/0", "three", ""])
 def test_as_rational_rejects_bad_strings(bad):
     with pytest.raises(ParseError):
+        as_rational(bad)
+
+
+@pytest.mark.parametrize("bad", ["0.5", "1.0", "1e3", "-2.5", "nan", "inf", "1/2.0", " 3 / 4"])
+def test_as_rational_rejects_decimal_and_exponent_strings(bad):
+    with pytest.raises(ParseError, match="expected an integer or 'p/q'"):
         as_rational(bad)
 
 
