@@ -56,11 +56,12 @@ class BankruptcyProblem:
         if total < self.endowment:
             raise InvalidProblem(
                 f"endowment {self.endowment} exceeds total claims {total}")
+        object.__setattr__(self, "_total", total)
 
 
 def proportional_rule(problem: BankruptcyProblem) -> tuple[Fraction, ...]:
     """Award everyone the same fraction of their claim."""
-    total = _exact_sum(problem.claims)
+    total = problem._total
     zero = Fraction(0)
     if total == 0:
         # The endowment is zero too (it never exceeds the claims).
@@ -244,9 +245,12 @@ def two_stage_rule(problem: MultiIssueClaims,
     phi = resolve_rule(agent_stage)
     totals = problem.issue_totals()
     try:
-        issue_budgets = psi(BankruptcyProblem(problem.issues, totals, problem.endowment))
+        issue_budgets = _rational_tuple(
+            psi(BankruptcyProblem(problem.issues, totals, problem.endowment)), "awards")
         if len(issue_budgets) != len(totals):
             raise InvalidProblem("one award per issue required")
+        if any(b < 0 for b in issue_budgets):
+            raise InvalidProblem("awards must be nonnegative")
     except InvalidProblem as exc:
         raise InvalidProblem(f"issue stage: {exc}") from exc
     terms = [[] for _ in problem.agents]

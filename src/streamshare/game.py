@@ -27,11 +27,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, count
-from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .model import (Allocation, DimensionMismatch, DuplicateIdentifier, FeeMismatch, ModelError,
-                    StreamingProblem, _exact_sum, as_rational)
+                    StreamingProblem, _exact_sum, _fractions, _over_common_denominator,
+                    as_rational)
 
 MAX_ENUMERABLE_PLAYERS = 20
 
@@ -104,20 +104,6 @@ class CoalitionalGame:
     def _integers(self) -> tuple[int, list[int]]:
         """``(d, worths)`` with ``values[mask] == worths[mask] / d`` for every mask."""
         return _over_common_denominator(self.values)
-
-
-def _over_common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """The lcm d of the denominators and every value times d, as integers."""
-    d = lcm(*{v.denominator for v in values})
-    if d == 1:
-        return 1, [v.numerator for v in values]
-    return d, [v.numerator * (d // v.denominator) for v in values]
-
-
-def _fractions(numerators: list[int], denominator: int) -> tuple[Fraction, ...]:
-    """Each numerator over the denominator, with one Fraction per distinct value."""
-    made = {t: Fraction(t, denominator) for t in set(numerators)}
-    return tuple(map(made.__getitem__, numerators))
 
 
 def listened_mask(problem: StreamingProblem, user: str) -> int:
@@ -319,9 +305,8 @@ def in_core_direct(game: CoalitionalGame,
     """
     amounts = _amounts(allocation, game.player_count)
     d, worths = game._integers
-    scale = lcm(d, *(a.denominator for a in amounts))
-    units = [a.numerator * (scale // a.denominator) for a in amounts]
-    factor = scale // d
+    # 1/d over the common denominator is the factor that rescales the worths.
+    _, (factor, *units) = _over_common_denominator((Fraction(1, d), *amounts))
     if sum(units) != worths[-1] * factor:
         return DirectCoreResult(False, False, None, game.players)
     totals = [0]
@@ -479,40 +464,15 @@ class _FlowNetwork:
         return self.cap[idx ^ 1]
 
 
-def _solve_flow(problem: StreamingProblem, amounts: tuple[Fraction, ...]):
-    """Build and solve the fee-routing network after clearing denominators.
-
-    Node 0 is the source, users are nodes 1..m, artists m+1..m+n, and the
-    sink comes last.  Returns (network, (artist, arc) pairs per user, scale,
-    whether every fee was routed).  Routing every fee means the allocation
-    is in the core.
-    """
-    n, m = problem.artist_count, problem.user_count
-    scale = lcm(problem.fee.denominator, *(a.denominator for a in amounts))
-    fee_units = int(problem.fee * scale)
-    source, sink = 0, 1 + m + n
-    net = _FlowNetwork(n + m + 2)
-    for j in range(m):
-        net.add_edge(source, 1 + j, fee_units)
-    user_arcs: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    for i, row in enumerate(problem.streams):
-        for j, count in enumerate(row):
-            if count > 0:
-                user_arcs[j].append((i, net.add_edge(1 + j, 1 + m + i, fee_units)))
-    for i, amount in enumerate(amounts):
-        net.add_edge(1 + m + i, sink, int(amount * scale))
-    value = net.max_flow(source, sink)
-    return net, user_arcs, scale, value == m * fee_units
-
-
 def in_core_flow(problem: StreamingProblem,
                  allocation: Allocation | Sequence[Fraction]) -> FlowCoreResult:
     """Check core membership by trying to route every user's fee.
 
     The allocation is stable exactly when each user's fee can flow to
     artists that user streamed, filling each artist's payout exactly.
-    Negative entries and wrong totals are screened out before the network
-    is built.
+    Negative entries and wrong totals are screened out, on the fee and
+    amounts cleared of denominators, before the network is built.  Node 0
+    is the source, users are 1..m, artists m+1..m+n, and the sink is last.
 
     When the flow falls short, the artists S reachable from the source in
     the residual network form a blocking coalition (max-flow/min-cut; Gale
@@ -524,19 +484,31 @@ def in_core_flow(problem: StreamingProblem,
     the worth of S.
     """
     amounts = _amounts(allocation, problem.artist_count)
-    if any(a < 0 for a in amounts):
+    scale, (fee_units, *units) = _over_common_denominator((problem.fee, *amounts))
+    if any(u < 0 for u in units):
         return FlowCoreResult(False, None, "negative amount")
-    if sum(amounts) != problem.revenue:
+    n, m = problem.artist_count, problem.user_count
+    if sum(units) != m * fee_units:
         return FlowCoreResult(False, None, "amounts do not sum to the revenue")
-    net, user_arcs, scale, feasible = _solve_flow(problem, amounts)
-    if not feasible:
-        level = net.levels(0)[1 + problem.user_count:-1]
+    source, sink = 0, 1 + m + n
+    net = _FlowNetwork(n + m + 2)
+    for j in range(m):
+        net.add_edge(source, 1 + j, fee_units)
+    user_arcs: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    for i, row in enumerate(problem.streams):
+        for j, count in enumerate(row):
+            if count > 0:
+                user_arcs[j].append((i, net.add_edge(1 + j, 1 + m + i, fee_units)))
+    for i, unit in enumerate(units):
+        net.add_edge(1 + m + i, sink, unit)
+    if net.max_flow(source, sink) != m * fee_units:
+        level = net.levels(source)[1 + m:sink]
         coalition = frozenset(a for a, d in zip(problem.artists, level) if d >= 0)
         return FlowCoreResult(False, None, "some user's fee cannot reach their artists",
                               coalition)
     shares = []
     for arcs in user_arcs:
-        row = [Fraction(0)] * problem.artist_count
+        row = [Fraction(0)] * n
         for i, idx in arcs:
             row[i] = Fraction(net.flow_through(idx), scale)
         shares.append(tuple(row))

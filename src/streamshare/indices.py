@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Mapping
 
 from .model import (Allocation, ArtistMismatch, IndexValues, ModelError, StreamingProblem,
-                    UnknownUser, as_rational)
+                    UnknownUser, _fractions, _over_common_denominator, as_rational)
 
 
 class NonPositiveWeight(ModelError):
@@ -89,7 +88,7 @@ def _scores(artists: tuple[str, ...], numerators: list[int], common: int) -> Ind
     positive denominator, with at least one numerator positive, so the
     entries and their exact total need no further checks.
     """
-    return IndexValues._trusted(artists, tuple(Fraction(n, common) for n in numerators),
+    return IndexValues._trusted(artists, _fractions(numerators, common),
                                 Fraction(sum(numerators), common))
 
 
@@ -100,8 +99,7 @@ def weighted_index(problem: StreamingProblem, weights: WeightSystem) -> IndexVal
     integers over L = lcm of the weight denominators, then divided by L.
     """
     per_user = [weights(u, col) for u, col in zip(problem.users, zip(*problem.streams))]
-    common = lcm(*(w.denominator for w in per_user))
-    scaled = [w.numerator * (common // w.denominator) for w in per_user]
+    common, scaled = _over_common_denominator(per_user)
     return _scores(problem.artists,
                    [sum(w * c for w, c in zip(scaled, row) if c) for row in problem.streams],
                    common)
@@ -150,7 +148,7 @@ def banded_weight_system(params: BandedWeightParams) -> WeightSystem:
 
 
 def table_weight_system(table: Mapping[str, int | str | Fraction]) -> WeightSystem:
-    """Fixed per-user weights from a mapping; inexact entries raise NonPositiveWeight."""
+    """Fixed per-user weights; any entry not a positive exact rational raises NonPositiveWeight."""
     converted = {u: as_rational(w, f"weight for user {u!r}", NonPositiveWeight)
                  for u, w in table.items()}
 
@@ -160,7 +158,10 @@ def table_weight_system(table: Mapping[str, int | str | Fraction]) -> WeightSyst
         except KeyError:
             raise UnknownUser(user) from None
 
-    return WeightSystem("table", weight)
+    system = WeightSystem("table", weight)
+    for user in converted:  # every entry, also for users no problem has
+        system(user, ())
+    return system
 
 
 def rewards(problem: StreamingProblem, values: IndexValues) -> Allocation:
@@ -199,9 +200,8 @@ def padded_share_index(problem: StreamingProblem) -> IndexValues:
     ``(count(i,j) + total(i)) / (user_total(j) + grand_total)``.
     """
     grand = problem.total_streams
-    denominators = [sum(col) + grand for col in zip(*problem.streams)]
-    common = lcm(*denominators)
-    scales = [common // d for d in denominators]
+    common, scales = _over_common_denominator(
+        [Fraction(1, sum(col) + grand) for col in zip(*problem.streams)])
     numerators = []
     for row in problem.streams:
         rt = sum(row)
@@ -223,9 +223,8 @@ def stream_share_index(problem: StreamingProblem) -> IndexValues:
 
 def equal_split_index(problem: StreamingProblem) -> IndexValues:
     """Each user splits one unit equally over the artists they streamed."""
-    sizes = [len(col) - col.count(0) for col in zip(*problem.streams)]
-    common = lcm(*sizes)
-    shares = [common // k for k in sizes]
+    common, shares = _over_common_denominator(
+        [Fraction(1, len(col) - col.count(0)) for col in zip(*problem.streams)])
     return _scores(problem.artists,
                    [sum(s for c, s in zip(row, shares) if c) for row in problem.streams],
                    common)

@@ -124,15 +124,28 @@ def as_rational(value: int | str | Fraction, what: str = "value",
         raise ParseError(f"{what} {value!r} is not a valid rational: {exc}") from None
 
 
-def _exact_sum(values) -> Fraction:
-    """Sum rationals as integers over the lcm of their denominators.
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The lcm d of the denominators and every value times d, as integers.
 
-    Adding Fractions one at a time reduces by a gcd at every step; summing
-    numerators over one common denominator reduces once, at the end.
+    Adding Fractions one at a time reduces by a gcd at every step; integers
+    over one denominator are reduced once, into the Fraction built at the end.
     """
-    pairs = [v.as_integer_ratio() for v in values]
-    common = math.lcm(*(d for _, d in pairs))
-    return Fraction(sum(n * (common // d) for n, d in pairs), common)
+    d = math.lcm(*{v.denominator for v in values})
+    if d == 1:
+        return 1, [v.numerator for v in values]
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
+def _fractions(numerators: list[int], denominator: int) -> tuple[Fraction, ...]:
+    """Each numerator over the denominator, with one Fraction per distinct value."""
+    made = {t: Fraction(t, denominator) for t in set(numerators)}
+    return tuple(map(made.__getitem__, numerators))
+
+
+def _exact_sum(values: Iterable[Fraction]) -> Fraction:
+    """Sum rationals as integers over the lcm of their denominators."""
+    d, numerators = _over_common_denominator(list(values))
+    return Fraction(sum(numerators), d)
 
 
 def decimal_display(value: Fraction, places: int) -> str:
@@ -394,10 +407,11 @@ class _ArtistValues:
         values = tuple(as_rational(v, self._field) for v in getattr(self, self._field))
         if len(self.artists) != len(values):
             raise DimensionMismatch(f"one entry of {self._field} per artist required")
-        if any(v.as_integer_ratio()[0] < 0 for v in values):
+        d, numerators = _over_common_denominator(values)
+        if any(n < 0 for n in numerators):
             raise ModelError(f"{self._field} must be nonnegative")
         object.__setattr__(self, self._field, values)
-        object.__setattr__(self, "total", _exact_sum(values))
+        object.__setattr__(self, "total", Fraction(sum(numerators), d))
         if self._positive and self.total <= 0:
             raise ModelError(f"{self._field} must not all be zero")
 

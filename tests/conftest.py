@@ -1,11 +1,23 @@
 from __future__ import annotations
 
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Hypothesis imports this module only when a test fails, and through libcst it
+# raises a DeprecationWarning; under -W error that turns the report of the
+# failing example into a pytest INTERNALERROR.  Importing it here, once, with
+# the warning ignored keeps failures reportable.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # Hypothesis or libcst not installed
+        pass
 
 from helpers import three_user_problem, two_user_problem
 

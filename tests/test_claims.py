@@ -450,3 +450,15 @@ def test_stage_rules_must_return_one_exact_award_per_agent():
         two_stage_rule(small_multi(), "proportional", short)
     with pytest.raises(InvalidProblem, match=r"^issue stage: one award per issue"):
         two_stage_rule(small_multi(), short, "proportional")
+
+
+def test_issue_stage_awards_must_be_exact_and_nonnegative():
+    def inexact(bp):
+        return tuple(float(c) for c in bp.claims)
+
+    def negative(bp):
+        return (bp.endowment + 1, F(-1))
+
+    for stage in (inexact, negative):
+        with pytest.raises(InvalidProblem, match=r"^issue stage: awards must be"):
+            two_stage_rule(small_multi(), stage, "proportional")

@@ -118,6 +118,21 @@ def test_allocate_weights_file_float_is_bad_input(two_user_csv, tmp_path):
     assert "weight for user 'a'" in result.stderr
 
 
+def test_allocate_weights_file_negative_unused_entry_is_bad_input(two_user_csv, tmp_path):
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps({"a": 1, "b": 1, "zz": -5}))
+    src = str(Path(streamshare.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run(
+        [sys.executable, "-m", "streamshare.cli", "allocate", "-i", two_user_csv,
+         "--method", "weighted-file", "--weights-file", str(weights)],
+        capture_output=True, text=True, env=env)
+    assert result.returncode == EXIT_INPUT
+    assert "Traceback" not in result.stdout + result.stderr
+    assert "'zz'" in result.stderr
+
+
 def test_allocate_fee_override(runner, two_user_csv):
     result = invoke(runner, "allocate", "-i", two_user_csv, "--fee", "1/2",
                     "-o", "json")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -44,6 +45,7 @@ from streamshare import (
 )
 from streamshare.axioms import ProblemGenerator, _resampled_column, check_homogeneity
 from streamshare.indices import NonPositiveWeight, weighted_index
+from streamshare.model import _exact_sum, _fractions, _over_common_denominator
 
 from helpers import revalidated, three_user_problem, two_user_problem
 
@@ -550,3 +552,30 @@ def test_every_exported_exception_is_a_model_error():
                 if isinstance(obj, type) and issubclass(obj, BaseException)]
     assert len(exported) >= 20
     assert [cls.__name__ for cls in exported if not issubclass(cls, ModelError)] == []
+
+
+# -- the common-denominator kernel ------------------------------------------
+
+RATIONALS = st.lists(st.one_of(st.integers(-30, 30), st.fractions(max_denominator=40)),
+                     max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(RATIONALS)
+def test_common_denominator_kernel_matches_fraction_arithmetic(values):
+    d, numerators = _over_common_denominator(values)
+    assert d == math.lcm(*(Fraction(v).denominator for v in values))
+    assert len(numerators) == len(values)
+    assert all(type(n) is int and Fraction(n, d) == v for n, v in zip(numerators, values))
+    total = _exact_sum(v for v in values)
+    assert type(total) is Fraction and total == sum(values, Fraction(0))
+    assert _exact_sum(values) == total
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-8, 8), max_size=12), st.integers(1, 30))
+def test_fractions_share_one_object_per_distinct_value(numerators, denominator):
+    made = _fractions(numerators, denominator)
+    assert made == tuple(Fraction(n, denominator) for n in numerators)
+    assert all(type(x) is Fraction for x in made)
+    assert len({id(x) for x in made}) == len(set(numerators))
