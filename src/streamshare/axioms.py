@@ -25,13 +25,13 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from . import game as game_mod
 from .indices import Index, rewards
 from .model import (
-    InvalidPartition,
     ModelError,
     StreamingProblem,
     as_rational,
     new_problem,
     problem_from_dict,
     problem_to_dict,
+    split_problem,
 )
 
 HOMOGENEITY = "homogeneity"
@@ -158,14 +158,7 @@ def check_homogeneity(index: Index, problem: StreamingProblem,
 def check_additivity(index: Index, problem: StreamingProblem,
                      first_group: Sequence[str]) -> AxiomVerdict:
     """Splitting the users into two markets must split the scores additively."""
-    chosen = set(first_group)
-    rest = [u for u in problem.users if u not in chosen]
-    if not chosen or not rest:
-        raise InvalidPartition("both sides of the user split must be nonempty")
-    for u in chosen:
-        problem.user_index(u)
-    part1 = problem.select_users(chosen)
-    part2 = problem.select_users(rest)
+    part1, part2 = split_problem(problem, first_group)
     whole = index(problem)
     left = index(part1)
     right = index(part2)
@@ -174,7 +167,7 @@ def check_additivity(index: Index, problem: StreamingProblem,
         if whole[artist] != total:
             witness = {
                 "problem": problem_to_dict(problem),
-                "first_group": sorted(chosen),
+                "first_group": sorted(part1.users),
                 "artist": artist,
                 "whole": str(whole[artist]),
                 "parts_sum": str(total),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence, Union
 
-from .model import ModelError, StreamingProblem, _exact_sum, as_rational
+from .model import ModelError, StreamingProblem, _exact_sum, _over_common_denominator, as_rational
 
 
 class InvalidProblem(ModelError):
@@ -82,23 +82,23 @@ def cea_rule(problem: BankruptcyProblem) -> CeaAwards:
 
     Awards are ``min(level, claim)`` where the level is chosen so the
     awards exhaust the endowment.  Computed by filling claims in ascending
-    order, which pins the level exactly in rational arithmetic.
+    order on integers over one common denominator, which pins the level
+    exactly; it is the one Fraction built.
     """
     n = len(problem.claims)
-    order = sorted(range(n), key=lambda i: problem.claims[i])
-    awards = [Fraction(0)] * n
-    remaining = problem.endowment
+    d, (remaining, *scaled) = _over_common_denominator((problem.endowment, *problem.claims))
+    order = sorted(range(n), key=scaled.__getitem__)
+    awards = list(problem.claims)
+    # The claims cover the endowment, so the last agent reaches the level
+    # if no earlier one does: the loop always breaks.
     for position, agent in enumerate(order):
-        level = remaining / (n - position)
-        if problem.claims[agent] >= level:
-            for other in order[position:]:
-                awards[other] = level
-            return CeaAwards(tuple(awards), level)
-        awards[agent] = problem.claims[agent]
-        remaining -= problem.claims[agent]
-    # Everyone was paid in full, which means the endowment equals the
-    # total claims; the largest claim is the smallest valid level.
-    return CeaAwards(tuple(awards), max(problem.claims, default=Fraction(0)))
+        if scaled[agent] * (n - position) >= remaining:
+            break
+        remaining -= scaled[agent]
+    level = Fraction(remaining, d * (n - position))
+    for agent in order[position:]:
+        awards[agent] = level
+    return CeaAwards(tuple(awards), level)
 
 
 def cea_awards(problem: BankruptcyProblem) -> tuple[Fraction, ...]:
@@ -167,9 +167,6 @@ class MultiIssueClaims:
                 f"endowment {self.endowment} exceeds total claims")
         object.__setattr__(self, "_issue_totals", totals)
 
-    def issue_total(self, j: int) -> Fraction:
-        return self._issue_totals[j]
-
     def issue_totals(self) -> tuple[Fraction, ...]:
         return self._issue_totals
 
@@ -229,6 +226,20 @@ def weighted_proportional(problem: MultiIssueClaims,
                  for row in problem.claims)
 
 
+def _stage(rule: BankruptcyRule, claimant: str, stage: str, claimants: tuple[str, ...],
+           claims: Sequence[Fraction], endowment: Fraction) -> tuple[Fraction, ...]:
+    """One stage of ``two_stage_rule``: run ``rule`` and hold its awards to the contract."""
+    try:
+        awards = _rational_tuple(rule(BankruptcyProblem(claimants, claims, endowment)), "awards")
+        if len(awards) != len(claimants):
+            raise InvalidProblem(f"one award per {claimant} required")
+        if any(a.numerator < 0 for a in awards):
+            raise InvalidProblem("awards must be nonnegative")
+    except InvalidProblem as exc:
+        raise InvalidProblem(f"{stage}: {exc}") from exc
+    return awards
+
+
 def two_stage_rule(problem: MultiIssueClaims,
                    issue_stage: Union[str, BankruptcyRule],
                    agent_stage: Union[str, BankruptcyRule]) -> tuple[Fraction, ...]:
@@ -237,31 +248,18 @@ def two_stage_rule(problem: MultiIssueClaims,
     Stage one treats the issues as agents claiming their column totals and
     divides the endowment with ``issue_stage``.  Stage two divides each
     issue's award among the agents with ``agent_stage``, using the original
-    claims on that issue.  Each stage must return one exact award per
-    claimant.  Any InvalidProblem raised inside a stage, or by a stage
-    breaking that contract, is re-raised tagged with the stage.
+    claims on that issue.  Each stage must return one exact, nonnegative
+    award per claimant.  Any InvalidProblem raised inside a stage, or by a
+    stage breaking that contract, is re-raised tagged with the stage.
     """
     psi = resolve_rule(issue_stage)
     phi = resolve_rule(agent_stage)
-    totals = problem.issue_totals()
-    try:
-        issue_budgets = _rational_tuple(
-            psi(BankruptcyProblem(problem.issues, totals, problem.endowment)), "awards")
-        if len(issue_budgets) != len(totals):
-            raise InvalidProblem("one award per issue required")
-        if any(b < 0 for b in issue_budgets):
-            raise InvalidProblem("awards must be nonnegative")
-    except InvalidProblem as exc:
-        raise InvalidProblem(f"issue stage: {exc}") from exc
+    issue_budgets = _stage(psi, "issue", "issue stage",
+                           problem.issues, problem.issue_totals(), problem.endowment)
     terms = [[] for _ in problem.agents]
     for issue, column, budget in zip(problem.issues, zip(*problem.claims), issue_budgets):
-        try:
-            column_awards = _rational_tuple(
-                phi(BankruptcyProblem(problem.agents, column, budget)), "awards")
-            if len(column_awards) != len(terms):
-                raise InvalidProblem("one award per agent required")
-        except InvalidProblem as exc:
-            raise InvalidProblem(f"agent stage, issue {issue!r}: {exc}") from exc
+        column_awards = _stage(phi, "agent", f"agent stage, issue {issue!r}",
+                               problem.agents, column, budget)
         for agent_terms, award in zip(terms, column_awards):
             if award:
                 agent_terms.append(award)

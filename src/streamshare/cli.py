@@ -22,7 +22,7 @@ from . import claims as claims_mod
 from . import game as game_mod
 from . import indices as indices_mod
 from . import model
-from .indices import Index, banded_index, index_from_weights, rewards, table_weight_system
+from .indices import Index, index_from_weights, rewards, table_weight_system
 from .model import decimal_display
 
 EXIT_INPUT = 2
@@ -88,14 +88,10 @@ def _echo_table(headers: list[str], rows: list[list[str]]) -> None:
 
 def _method_index(method: str, alpha: int | None, beta: int | None,
                   weights_file: str | None) -> Index:
-    if method == "pro-rata":
-        return indices_mod.PRO_RATA
-    if method == "user-centric":
-        return indices_mod.USER_CENTRIC
     if method == "banded":
         if alpha is None or beta is None:
             raise model.ModelError("--method banded requires --alpha and --beta")
-        return banded_index(alpha, beta)
+        return indices_mod.standard_indices(alpha, beta)["banded"]
     if method == "weighted-file":
         if weights_file is None:
             raise model.ModelError("--method weighted-file requires --weights-file")
@@ -106,7 +102,8 @@ def _method_index(method: str, alpha: int | None, beta: int | None,
         if not isinstance(table, dict):
             raise model.ParseError("the weights file must hold a JSON object of user weights")
         return index_from_weights(table_weight_system(table))
-    raise model.ModelError(f"unknown method {method!r}")
+    # Band edges are checked only for banded, so stray ones never fail another method.
+    return indices_mod.standard_indices()[method]
 
 
 _METHOD_CHOICES = ("pro-rata", "user-centric", "banded", "weighted-file")
@@ -313,12 +310,11 @@ def game(input_path, input_format, fee, output_mode) -> None:
         payload["supermodular"] = shape.holds
         _echo_json(payload)
         return
-    rows = [[", ".join(g.coalition_members(mask)) or "(empty)", str(g.value(mask))]
-            for mask in range(1, 1 << g.player_count)]
+    keys = game_mod._coalition_keys(g.players, ", ")
+    rows = [[key, str(value)] for key, value in zip(keys[1:], g.values[1:])]
     _echo_table(["coalition", "worth"], rows)
     click.echo("")
-    nz = dividends.nonzero()
-    div_rows = [[", ".join(g.coalition_members(mask)), str(value)] for mask, value in nz]
+    div_rows = [[keys[mask], str(value)] for mask, value in dividends.nonzero()]
     _echo_table(["coalition", "dividend"], div_rows or [["(none)", "0"]])
     click.echo("")
     click.echo(f"supermodular: {'yes' if shape.holds else 'NO'}")

@@ -52,6 +52,11 @@ def _amounts(allocation: Allocation | Sequence[Fraction], n: int) -> tuple[Fract
     return values
 
 
+def _members(players: tuple[str, ...], mask: int) -> tuple[str, ...]:
+    """The players whose bits are set in ``mask``, in player order."""
+    return tuple(p for i, p in enumerate(players) if mask >> i & 1)
+
+
 @dataclass(frozen=True)
 class CoalitionalGame:
     """A transferable-utility game over at most 20 players.
@@ -94,7 +99,7 @@ class CoalitionalGame:
         return mask
 
     def coalition_members(self, mask: int) -> tuple[str, ...]:
-        return tuple(p for i, p in enumerate(self.players) if mask >> i & 1)
+        return _members(self.players, mask)
 
     @property
     def grand_value(self) -> Fraction:
@@ -292,7 +297,7 @@ class DirectCoreResult:
     def blocking_coalition(self) -> frozenset[str] | None:
         if self.blocking_mask is None:
             return None
-        return frozenset(p for i, p in enumerate(self.players) if self.blocking_mask >> i & 1)
+        return frozenset(_members(self.players, self.blocking_mask))
 
 
 def in_core_direct(game: CoalitionalGame,
@@ -539,24 +544,20 @@ def in_domain_pstar(problem: StreamingProblem) -> bool:
 
 # -- serialization -----------------------------------------------------
 
-def _coalition_key(game_players: tuple[str, ...], mask: int) -> str:
-    return ",".join(p for i, p in enumerate(game_players) if mask >> i & 1)
-
-
-def _coalition_keys(players: tuple[str, ...]) -> list[str]:
-    """``_coalition_key`` of every mask, in one concatenation per mask.
+def _coalition_keys(players: tuple[str, ...], separator: str) -> list[str]:
+    """The members of every mask joined by ``separator``, one concatenation per mask.
 
     The masks whose highest player is p are the smaller masks with p appended.
     """
     keys = [""]
     for player in players:
-        keys += [player] + [key + "," + player for key in keys[1:]]
+        keys += [player] + [key + separator + player for key in keys[1:]]
     return keys
 
 
 def game_to_dict(game: CoalitionalGame) -> dict:
     """JSON-ready dict: players plus a worth per nonempty coalition."""
-    keys = _coalition_keys(game.players)
+    keys = _coalition_keys(game.players, ",")
     return {
         "players": list(game.players),
         "values": dict(zip(keys[1:], map(str, game.values[1:]))),
@@ -572,7 +573,7 @@ def dividends_to_dict(table: DividendTable) -> dict:
     return {
         "players": list(table.players),
         "dividends": {
-            _coalition_key(table.players, mask): str(value)
+            ",".join(_members(table.players, mask)): str(value)
             for mask, value in table.nonzero()
         },
     }

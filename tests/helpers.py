@@ -11,6 +11,7 @@ from typing import Mapping, Sequence
 from streamshare import (
     Allocation,
     BankruptcyProblem,
+    CeaAwards,
     CoalitionalGame,
     DirectCoreResult,
     DividendTable,
@@ -231,6 +232,27 @@ reference_issue_size_weights = IssueWeightFunction(
 )
 
 REFERENCE_RULES = {"proportional": reference_proportional_rule, "cea": cea_awards}
+
+
+# The constrained-equal-awards rule before it ran on integers over one common
+# denominator: a Fraction sort and a running Fraction remainder.  Kept
+# unchanged as the reference for the differential test of ``cea_rule``.
+def reference_cea_rule(problem: BankruptcyProblem) -> CeaAwards:
+    n = len(problem.claims)
+    order = sorted(range(n), key=lambda i: problem.claims[i])
+    awards = [Fraction(0)] * n
+    remaining = problem.endowment
+    for position, agent in enumerate(order):
+        level = remaining / (n - position)
+        if problem.claims[agent] >= level:
+            for other in order[position:]:
+                awards[other] = level
+            return CeaAwards(tuple(awards), level)
+        awards[agent] = problem.claims[agent]
+        remaining -= problem.claims[agent]
+    # Everyone was paid in full, which means the endowment equals the
+    # total claims; the largest claim is the smallest valid level.
+    return CeaAwards(tuple(awards), max(problem.claims, default=Fraction(0)))
 
 
 def reference_weighted_proportional(problem: MultiIssueClaims,

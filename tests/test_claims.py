@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamshare import (
@@ -35,6 +35,7 @@ from streamshare.claims import (
     resolve_rule,
 )
 from helpers import (
+    reference_cea_rule,
     reference_issue_size_weights,
     reference_proportional_rule,
     reference_two_stage_rule,
@@ -111,6 +112,25 @@ def test_cea_defining_equation(claims, num):
     assert sum(awards) == endowment
     assert all(a == min(level, c) for a, c in zip(awards, bp.claims))
     assert all(F(0) <= a <= c for a, c in zip(awards, bp.claims))
+
+
+tied_claim_lists = st.lists(
+    st.sampled_from([F(0), F(1, 3), F(2), F(7, 4), F(5)]), min_size=1, max_size=7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(claims=st.one_of(claim_lists, tied_claim_lists), num=st.integers(0, 100))
+@example(claims=[F(2), F(2), F(2)], num=50)  # tied claims
+@example(claims=[F(0), F(3), F(0), F(1, 2)], num=40)  # zero claims
+@example(claims=[F(4), F(1, 3)], num=0)  # zero endowment
+@example(claims=[F(3, 2), F(5), F(1, 7)], num=100)  # everyone paid in full
+def test_cea_rule_matches_the_fraction_loop(claims, num):
+    endowment = sum(claims, F(0)) * F(num, 100)
+    agents = tuple(f"a{i}" for i in range(len(claims)))
+    bp = BankruptcyProblem(agents, tuple(claims), endowment)
+    got, want = cea_rule(bp), reference_cea_rule(bp)
+    assert got == want
+    assert list(map(type, (*got.awards, got.level))) == list(map(type, (*want.awards, want.level)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -450,6 +470,12 @@ def test_stage_rules_must_return_one_exact_award_per_agent():
         two_stage_rule(small_multi(), "proportional", short)
     with pytest.raises(InvalidProblem, match=r"^issue stage: one award per issue"):
         two_stage_rule(small_multi(), short, "proportional")
+
+
+def test_agent_stage_awards_must_be_nonnegative():
+    with pytest.raises(InvalidProblem,
+                       match=r"^agent stage, issue 'a': awards must be nonnegative"):
+        two_stage_rule(small_multi(), "proportional", lambda bp: (bp.endowment + 1, F(-1)))
 
 
 def test_issue_stage_awards_must_be_exact_and_nonnegative():

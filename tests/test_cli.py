@@ -84,6 +84,15 @@ def test_allocate_banded_requires_edges(runner, two_user_csv):
     assert "--alpha" in result.stderr
 
 
+def test_allocate_ignores_band_edges_for_other_methods(runner, two_user_csv):
+    # 0 is no valid lower band edge, but only banded reads the edges.
+    result = invoke(runner, "allocate", "-i", two_user_csv, "--method", "pro-rata",
+                    "--alpha", "0", "--beta", "3", "-o", "json")
+    assert result.exit_code == 0
+    assert result.output == invoke(runner, "allocate", "-i", two_user_csv, "-o", "json").output
+    assert json.loads(result.output)["rewards"] == {"1": "1/5", "2": "9/5"}
+
+
 def test_allocate_weights_file(runner, two_user_csv, tmp_path):
     weights = tmp_path / "weights.json"
     weights.write_text(json.dumps({"a": 1, "b": "1/9"}))
@@ -404,6 +413,27 @@ def test_coalition_output_is_pinned(runner, tmp_path, command):
     if command == "core-check":
         assert json.loads(result.output)["blocking_coalition"] == ["a3"]
     assert hashlib.sha256(result.output.encode()).hexdigest() == PINNED_GAME_SHA256[command]
+
+
+# The table forms of the same two commands: coalitions named by their members
+# joined with ", ", and the out-of-core verdict with its blocking coalition.
+PINNED_GAME_TABLE_SHA256 = {
+    "game": "9604b9a7a3135ba2e5040e73e331b5e68b6326baa08950589dd01da93d7803d3",
+    "core-check": "7a939ddcfed1bed7fe205c8f5eee9d94902d105bea18570bd788bbd5a971fa34",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_GAME_TABLE_SHA256))
+def test_coalition_table_output_is_pinned(runner, tmp_path, command):
+    path = tmp_path / "catalog.csv"
+    path.write_text(seeded_catalog_csv(seed=3, artists=8, users=60))
+    method = ("--method", "pro-rata") if command == "core-check" else ()
+    result = invoke(runner, command, *method, "-i", str(path), "--fee", "7/2")
+    assert result.exit_code == 0
+    if command == "core-check":
+        assert "(blocking coalition: a3)" in result.output
+    digest = hashlib.sha256(result.output.encode()).hexdigest()
+    assert digest == PINNED_GAME_TABLE_SHA256[command]
 
 
 # The full user-centric core-check on the same catalog, flow decomposition
