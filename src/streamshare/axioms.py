@@ -19,13 +19,14 @@ import string
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, groupby, islice
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import game as game_mod
 from .indices import Index, rewards
 from .model import (
     ModelError,
+    NonPositiveFee,
     StreamingProblem,
     as_rational,
     new_problem,
@@ -159,21 +160,21 @@ def check_additivity(index: Index, problem: StreamingProblem,
                      first_group: Sequence[str]) -> AxiomVerdict:
     """Splitting the users into two markets must split the scores additively."""
     part1, part2 = split_problem(problem, first_group)
-    whole = index(problem)
-    left = index(part1)
-    right = index(part2)
-    for artist in problem.artists:
-        total = left[artist] + right[artist]
-        if whole[artist] != total:
+    # Both parts keep the problem's artists, so scores line up by position.
+    scores = zip(problem.artists, index(problem).scores,
+                 index(part1).scores, index(part2).scores)
+    for artist, whole, left, right in scores:
+        total = left + right
+        if whole != total:
             witness = {
                 "problem": problem_to_dict(problem),
                 "first_group": sorted(part1.users),
                 "artist": artist,
-                "whole": str(whole[artist]),
+                "whole": str(whole),
                 "parts_sum": str(total),
             }
             return _fail(ADDITIVITY, index, witness,
-                         f"score of {artist!r} is {whole[artist]}, parts sum to {total}")
+                         f"score of {artist!r} is {whole}, parts sum to {total}")
     return _pass(ADDITIVITY, index)
 
 
@@ -430,23 +431,35 @@ _PROPERTIES: dict[str, _Property] = {
 }
 
 
-def evaluate_axiom(index: Index, axiom: str, problem: StreamingProblem,
-                   rng: random.Random | None = None) -> AxiomVerdict:
-    """Check one property on one instance, exhausting its premise tuples."""
-    axiom = normalize_axiom(axiom)
+def _memo(index: Index) -> Index:
+    """The index with its scores cached per distinct problem.
+
+    Premise tuples and properties share sub-problems (the whole problem,
+    single-user removals), so each is scored once per memo.
+    """
+    return Index(index.name, functools.cache(index.compute))
+
+
+def _evaluate(memo: Index, axiom: str, problem: StreamingProblem,
+              rng: random.Random) -> AxiomVerdict:
+    """Check a normalized property on one instance, exhausting its premise tuples."""
     prop = _PROPERTIES[axiom]
-    # Premise tuples share sub-problems (the whole problem, single-user
-    # removals), so scores are computed once per distinct problem.
-    memo = Index(index.name, functools.cache(index.compute))
     checked = 0
-    for args in prop.premises(problem, rng if rng is not None else random.Random(0)):
+    for args in prop.premises(problem, rng):
         checked += 1
         verdict = prop.check(memo, problem, *args)
         if verdict.failed:
             return verdict
     if not checked:
-        return AxiomVerdict(axiom, index.name, Status.NOT_APPLICABLE, None, prop.not_applicable)
-    return _pass(axiom, index, f"{checked} premise tuples checked")
+        return AxiomVerdict(axiom, memo.name, Status.NOT_APPLICABLE, None, prop.not_applicable)
+    return _pass(axiom, memo, f"{checked} premise tuples checked")
+
+
+def evaluate_axiom(index: Index, axiom: str, problem: StreamingProblem,
+                   rng: random.Random | None = None) -> AxiomVerdict:
+    """Check one property on one instance, exhausting its premise tuples."""
+    return _evaluate(_memo(index), normalize_axiom(axiom), problem,
+                     rng if rng is not None else random.Random(0))
 
 
 # -- random instances and search -----------------------------------------
@@ -470,6 +483,12 @@ class ProblemGenerator:
     fee: int | Fraction = 1
 
     def __post_init__(self):
+        for name in ("max_artists", "max_users", "max_streams", "min_artists", "min_users"):
+            bound = getattr(self, name)
+            if type(bound) is bool or not isinstance(bound, int):
+                raise ModelError(f"{name} must be an integer, got {type(bound).__name__}")
+        if as_rational(self.fee, "fee", NonPositiveFee) <= 0:
+            raise NonPositiveFee(f"fee must be positive, got {self.fee}")
         if not (1 <= self.min_artists <= self.max_artists):
             raise ModelError("need 1 <= min_artists <= max_artists")
         if not (1 <= self.min_users <= self.max_users):
@@ -522,6 +541,62 @@ def reference_problems() -> tuple[StreamingProblem, ...]:
             silent_artist, solo_listener)
 
 
+@dataclass
+class _Cell:
+    """One (index, property) search: its own rng, its counts and its verdict.
+
+    ``examined`` counts the reference instances checked before the search,
+    ``searched`` and ``applicable`` the generated ones; ``verdict`` is set
+    at the first failure, which closes the cell.
+    """
+
+    index: Index
+    axiom: str
+    rng: random.Random
+    examined: int = 0
+    searched: int = 0
+    applicable: int = 0
+    verdict: AxiomVerdict | None = None
+
+    @classmethod
+    def open(cls, index: Index, axiom: str, seed: int) -> "_Cell":
+        return cls(index, axiom, random.Random(f"{seed}:{index.name}:{axiom}"))
+
+    def check(self, memo: Index, problem: StreamingProblem) -> None:
+        self.searched += 1
+        verdict = _evaluate(memo, self.axiom, problem, self.rng)
+        if verdict.failed:
+            self.verdict = replace(verdict, instances=self.examined + self.searched)
+        elif verdict.status is Status.PASS:
+            self.applicable += 1
+
+    def searched_pass(self) -> AxiomVerdict:
+        return AxiomVerdict(self.axiom, self.index.name, Status.PASS, None,
+                            f"no violation in {self.searched} instances "
+                            f"({self.applicable} applicable)",
+                            instances=self.examined + self.searched)
+
+
+def _search(cells: Sequence[_Cell], generator: ProblemGenerator, budget: int) -> None:
+    """Run the open cells on up to ``budget`` generated instances, drawing each once.
+
+    The problem is the outer loop: every open cell sees it, in cell order,
+    with one memo per index, before the next problem is drawn.  No problem
+    is drawn once every cell is closed, and none is kept after its turn.
+    """
+    drawn = islice(generator.problems(), budget)
+    open_cells = [cell for cell in cells if cell.verdict is None]
+    while open_cells:
+        problem = next(drawn, None)
+        if problem is None:
+            return
+        for index, group in groupby(open_cells, key=lambda cell: cell.index):
+            memo = _memo(index)
+            for cell in group:
+                cell.check(memo, problem)
+        open_cells = [cell for cell in open_cells if cell.verdict is None]
+
+
 def search_witness(index: Index, axiom: str, generator: ProblemGenerator,
                    budget: int) -> AxiomVerdict:
     """Hunt for a violation over ``budget`` generated instances.
@@ -529,20 +604,9 @@ def search_witness(index: Index, axiom: str, generator: ProblemGenerator,
     Returns the first failing verdict, or a pass verdict recording how many
     instances were applicable.  Deterministic in (seed, index, axiom).
     """
-    axiom = normalize_axiom(axiom)
-    rng = random.Random(f"{generator.seed}:{index.name}:{axiom}")
-    applicable = 0
-    total = 0
-    for problem in islice(generator.problems(), budget):
-        total += 1
-        verdict = evaluate_axiom(index, axiom, problem, rng)
-        if verdict.failed:
-            return replace(verdict, instances=total)
-        if verdict.status is Status.PASS:
-            applicable += 1
-    return AxiomVerdict(axiom, index.name, Status.PASS, None,
-                        f"no violation in {total} instances ({applicable} applicable)",
-                        instances=total)
+    cell = _Cell.open(index, normalize_axiom(axiom), generator.seed)
+    _search([cell], generator, budget)
+    return cell.verdict or cell.searched_pass()
 
 
 def axiom_matrix(indices: Sequence[Index],
@@ -552,13 +616,14 @@ def axiom_matrix(indices: Sequence[Index],
     """Check every (index, property) pair on goldens plus random search.
 
     The fixed reference instances run first, so well-known violations are
-    caught even at budget zero; the random search then takes over.  Keys of
-    the result are (index name, axiom name).
+    caught even at budget zero; the random search then takes over, drawing
+    each generated problem once for all the cells still open.  Keys of the
+    result are (index name, axiom name).
     """
     axioms = AXIOM_NAMES if axioms is None else tuple(normalize_axiom(a) for a in axioms)
     generator = generator if generator is not None else ProblemGenerator()
     goldens = reference_problems()
-    matrix: dict[tuple[str, str], AxiomVerdict] = {}
+    cells = []
     for index in indices:
         for axiom in axioms:
             prop = _PROPERTIES[axiom]
@@ -566,22 +631,27 @@ def axiom_matrix(indices: Sequence[Index],
             references = chain(
                 (evaluate_axiom(index, axiom, problem, rng) for problem in goldens),
                 (prop.check(index, *case) for case in prop.fixed()))
-            verdict = None
-            examined = 0
+            cell = _Cell.open(index, axiom, generator.seed)
             for candidate in references:
-                examined += 1
+                cell.examined += 1
                 if candidate.failed:
-                    verdict = replace(candidate, instances=examined,
-                                      detail=candidate.detail + " (reference instance)")
+                    cell.verdict = replace(candidate, instances=cell.examined,
+                                           detail=candidate.detail + " (reference instance)")
                     break
-            if verdict is None and budget > 0:
-                searched = search_witness(index, axiom, generator, budget)
-                verdict = replace(searched, instances=searched.instances + examined)
-            if verdict is None:
-                verdict = AxiomVerdict(axiom, index.name, Status.PASS, None,
-                                       f"no violation in {examined} reference instances",
-                                       instances=examined)
-            matrix[(index.name, axiom)] = verdict
+            cells.append(cell)
+    if budget > 0:
+        _search(cells, generator, budget)
+    matrix: dict[tuple[str, str], AxiomVerdict] = {}
+    for cell in cells:
+        if cell.verdict is not None:
+            verdict = cell.verdict
+        elif budget > 0:
+            verdict = cell.searched_pass()
+        else:
+            verdict = AxiomVerdict(cell.axiom, cell.index.name, Status.PASS, None,
+                                   f"no violation in {cell.examined} reference instances",
+                                   instances=cell.examined)
+        matrix[(cell.index.name, cell.axiom)] = verdict
     return matrix
 
 

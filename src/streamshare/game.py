@@ -201,12 +201,15 @@ def is_supermodular(game: CoalitionalGame) -> SupermodularityResult:
     """
     n = game.player_count
     worths = game._integers[1]
-    for i in range(n):
-        gains = [0] * (1 << n)
-        for high, low in _pairs(n, i):
-            gains[high] = map(operator.sub, worths[high], worths[low])
-        for j in range(i + 1, n):
-            for high, low in _pairs(n, j):
+    for i in range(n - 1):
+        # v(S + i) - v(S) for every S without player i, in mask order: bit
+        # j > i of S is bit j - 1 of its position in this half-size table.
+        step = 1 << i
+        lacks_i = ([True] * step + [False] * step) * (1 << (n - 1 - i))
+        gains = list(map(operator.sub, compress(worths[step:], lacks_i),
+                         compress(worths, lacks_i)))
+        for j in range(i, n - 1):
+            for high, low in _pairs(n - 1, j):
                 if not all(map(operator.ge, gains[high], gains[low])):
                     return SupermodularityResult(False, _first_violation(worths, n))
     return SupermodularityResult(True)

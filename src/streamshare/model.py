@@ -320,8 +320,12 @@ class StreamingProblem:
         cols = [j for j, u in enumerate(self.users) if u in wanted]
         if not cols:
             raise InvalidPartition("user subset is empty")
-        users = tuple(self.users[j] for j in cols)
-        streams = tuple(tuple(row[j] for j in cols) for row in self.streams)
+        return self._columns(cols)
+
+    def _columns(self, cols: Sequence[int]) -> "StreamingProblem":
+        """The problem on the user columns ``cols``, in that order; ``cols`` must be nonempty."""
+        users = tuple(map(self.users.__getitem__, cols))
+        streams = tuple(tuple(map(row.__getitem__, cols)) for row in self.streams)
         return StreamingProblem._trusted(self.artists, users, streams, self.fee)
 
 
@@ -381,12 +385,15 @@ def split_problem(
     chosen = set(first_users)
     for u in chosen:
         problem.user_index(u)
-    rest = [u for u in problem.users if u not in chosen]
-    if not chosen:
+    first: list[int] = []
+    rest: list[int] = []
+    for j, u in enumerate(problem.users):
+        (first if u in chosen else rest).append(j)
+    if not first:
         raise InvalidPartition("first part of the split is empty")
     if not rest:
         raise InvalidPartition("second part of the split is empty")
-    return problem.select_users(chosen), problem.select_users(rest)
+    return problem._columns(first), problem._columns(rest)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import operator
 import random
+from dataclasses import replace
 from fractions import Fraction
+from itertools import chain, islice
 from math import lcm
 from typing import Mapping, Sequence
 
@@ -30,7 +33,24 @@ from streamshare import (
     cea_awards,
     new_problem,
 )
-from streamshare.game import MAX_ENUMERABLE_PLAYERS, _amounts, listened_mask
+from streamshare.axioms import (
+    AXIOM_NAMES,
+    AxiomVerdict,
+    ProblemGenerator,
+    Status,
+    _PROPERTIES,
+    _pass,
+    normalize_axiom,
+    reference_problems,
+)
+from streamshare.game import (
+    MAX_ENUMERABLE_PLAYERS,
+    _amounts,
+    _first_violation,
+    _pairs,
+    listened_mask,
+)
+from streamshare.indices import Index
 
 
 def two_user_problem(fee: int | Fraction = 1) -> StreamingProblem:
@@ -469,3 +489,100 @@ def reference_in_core_flow(problem: StreamingProblem,
     decomposition = CoreDecomposition(
         problem.artists, problem.users, tuple(shares), problem.fee)
     return FlowCoreResult(True, decomposition)
+
+
+# -- reference local supermodularity test -------------------------------------
+
+# Shapley's pairwise test as it ran with player i's gains in a full 2**n table
+# that is zero wherever bit i is clear.  Kept unchanged as the reference for
+# the differential test of the packed 2**(n-1) table.
+
+
+def reference_local_is_supermodular(game: CoalitionalGame) -> SupermodularityResult:
+    n = game.player_count
+    worths = game._integers[1]
+    for i in range(n):
+        gains = [0] * (1 << n)
+        for high, low in _pairs(n, i):
+            gains[high] = map(operator.sub, worths[high], worths[low])
+        for j in range(i + 1, n):
+            for high, low in _pairs(n, j):
+                if not all(map(operator.ge, gains[high], gains[low])):
+                    return SupermodularityResult(False, _first_violation(worths, n))
+    return SupermodularityResult(True)
+
+
+# -- reference per-cell property search ---------------------------------------
+
+# The property matrix as it ran one (index, property) cell at a time: each
+# cell replayed the generator on its own and each instance got a fresh score
+# memo.  Kept unchanged as the reference for the differential test of the
+# joint search that draws each problem once.
+
+
+def reference_evaluate_axiom(index: Index, axiom: str, problem: StreamingProblem,
+                             rng: random.Random | None = None) -> AxiomVerdict:
+    axiom = normalize_axiom(axiom)
+    prop = _PROPERTIES[axiom]
+    memo = Index(index.name, functools.cache(index.compute))
+    checked = 0
+    for args in prop.premises(problem, rng if rng is not None else random.Random(0)):
+        checked += 1
+        verdict = prop.check(memo, problem, *args)
+        if verdict.failed:
+            return verdict
+    if not checked:
+        return AxiomVerdict(axiom, index.name, Status.NOT_APPLICABLE, None, prop.not_applicable)
+    return _pass(axiom, index, f"{checked} premise tuples checked")
+
+
+def reference_search_witness(index: Index, axiom: str, generator: ProblemGenerator,
+                             budget: int) -> AxiomVerdict:
+    axiom = normalize_axiom(axiom)
+    rng = random.Random(f"{generator.seed}:{index.name}:{axiom}")
+    applicable = 0
+    total = 0
+    for problem in islice(generator.problems(), budget):
+        total += 1
+        verdict = reference_evaluate_axiom(index, axiom, problem, rng)
+        if verdict.failed:
+            return replace(verdict, instances=total)
+        if verdict.status is Status.PASS:
+            applicable += 1
+    return AxiomVerdict(axiom, index.name, Status.PASS, None,
+                        f"no violation in {total} instances ({applicable} applicable)",
+                        instances=total)
+
+
+def reference_axiom_matrix(indices: Sequence[Index],
+                           axioms: Sequence[str] | None = None,
+                           generator: ProblemGenerator | None = None,
+                           budget: int = 200) -> dict[tuple[str, str], AxiomVerdict]:
+    axioms = AXIOM_NAMES if axioms is None else tuple(normalize_axiom(a) for a in axioms)
+    generator = generator if generator is not None else ProblemGenerator()
+    goldens = reference_problems()
+    matrix: dict[tuple[str, str], AxiomVerdict] = {}
+    for index in indices:
+        for axiom in axioms:
+            prop = _PROPERTIES[axiom]
+            rng = random.Random(f"{generator.seed}:{index.name}:{axiom}:golden")
+            references = chain(
+                (reference_evaluate_axiom(index, axiom, problem, rng) for problem in goldens),
+                (prop.check(index, *case) for case in prop.fixed()))
+            verdict = None
+            examined = 0
+            for candidate in references:
+                examined += 1
+                if candidate.failed:
+                    verdict = replace(candidate, instances=examined,
+                                      detail=candidate.detail + " (reference instance)")
+                    break
+            if verdict is None and budget > 0:
+                searched = reference_search_witness(index, axiom, generator, budget)
+                verdict = replace(searched, instances=searched.instances + examined)
+            if verdict is None:
+                verdict = AxiomVerdict(axiom, index.name, Status.PASS, None,
+                                       f"no violation in {examined} reference instances",
+                                       instances=examined)
+            matrix[(index.name, axiom)] = verdict
+    return matrix

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,10 @@ import pytest
 from streamshare import (
     AXIOM_NAMES,
     EQUAL_SPLIT,
+    Index,
     InvalidPartition,
+    ModelError,
+    NonPositiveFee,
     PADDED_SHARE,
     PRO_RATA,
     ProblemGenerator,
@@ -21,6 +25,7 @@ from streamshare import (
     UNIFORM,
     USER_CENTRIC,
     WouldBeEmpty,
+    ZeroIndexSum,
     check_additivity,
     check_click_fraud_proofness,
     check_core_selection,
@@ -34,6 +39,7 @@ from streamshare import (
     recheck_witness,
     reference_problems,
     search_witness,
+    standard_indices,
 )
 from streamshare.axioms import (
     ADDITIVITY,
@@ -49,6 +55,8 @@ from streamshare.axioms import (
     reference_fraud_pairs,
     verdict_to_dict,
 )
+
+from helpers import reference_axiom_matrix, reference_search_witness
 
 F = Fraction
 
@@ -308,6 +316,36 @@ def test_generator_rejects_bad_bounds():
         ProblemGenerator(sparsity=1.0)
 
 
+def test_generator_rejects_float_fee():
+    with pytest.raises(NonPositiveFee):
+        ProblemGenerator(fee=0.5)
+
+
+@pytest.mark.parametrize("fee", [0, -1, F(-1, 2)])
+def test_generator_rejects_nonpositive_fee(fee):
+    with pytest.raises(NonPositiveFee):
+        ProblemGenerator(fee=fee)
+
+
+def test_generator_keeps_an_exact_fee_as_given():
+    gen = ProblemGenerator(fee=F(7, 2))
+    assert gen.fee == F(7, 2) and "fee=Fraction(7, 2)" in repr(gen)
+    assert gen == ProblemGenerator(fee=F(7, 2))
+    assert all(p.fee == F(7, 2) for p in gen.sample(3))
+
+
+@pytest.mark.parametrize("bound, value", [
+    ("max_streams", 2.5),
+    ("max_artists", True),
+    ("max_users", 6.0),
+    ("min_artists", F(1)),
+    ("min_users", "1"),
+])
+def test_generator_rejects_count_bounds_that_are_not_integers(bound, value):
+    with pytest.raises(ModelError, match=f"{bound} must be an integer"):
+        ProblemGenerator(**{bound: value})
+
+
 def test_reference_problems_shape(two_user):
     problems = reference_problems()
     assert len(problems) == 5
@@ -379,3 +417,104 @@ def test_reference_indices_have_search_verdicts():
 def test_equal_split_core_selection_holds_on_sample():
     verdict = search_witness(EQUAL_SPLIT, CORE_SELECTION, ProblemGenerator(seed=2), 60)
     assert verdict.passed
+
+
+# -- joint search -----------------------------------------------------------------------
+
+
+CLI_INDICES = [idx for name, idx in standard_indices(20, 60).items() if name != "banded"]
+
+
+@dataclass(frozen=True)
+class CountingGenerator(ProblemGenerator):
+    """A generator that records every problem its streams yield."""
+
+    drawn: list = field(default_factory=list, compare=False, repr=False)
+
+    def problems(self):
+        for problem in super().problems():
+            self.drawn.append(problem)
+            yield problem
+
+
+def assert_same_matrix(live, reference):
+    assert list(live) == list(reference)
+    assert list(map(verdict_to_dict, live.values())) == list(
+        map(verdict_to_dict, reference.values()))
+    assert list(live.values()) == list(reference.values())
+
+
+@pytest.mark.parametrize("budget", [0, 1, 10])
+@pytest.mark.parametrize("seed", [0, 4, 9])
+def test_matrix_matches_the_per_cell_search(seed, budget):
+    gen = ProblemGenerator(seed=seed, max_artists=6, max_users=6)
+    assert_same_matrix(axiom_matrix(CLI_INDICES, None, gen, budget),
+                       reference_axiom_matrix(CLI_INDICES, None, gen, budget))
+
+
+@pytest.mark.parametrize("indices, axioms", [
+    ([EQUAL_SPLIT, PRO_RATA], [EQUAL_INDIVIDUAL_IMPACT, HOMOGENEITY]),
+    ([USER_CENTRIC], [CLICK_FRAUD_PROOFNESS, ADDITIVITY, CORE_SELECTION]),
+    ([PRO_RATA, PRO_RATA, USER_CENTRIC], None),
+    ([STREAM_SHARE, EQUAL_SPLIT], ["eii", EQUAL_INDIVIDUAL_IMPACT, "rlb", "click-fraud"]),
+    ([EQUAL_SPLIT, PRO_RATA, EQUAL_SPLIT], ["egi", EQUAL_INDIVIDUAL_IMPACT, "egi"]),
+])
+@pytest.mark.parametrize("budget", [0, 1, 10])
+def test_matrix_matches_the_per_cell_search_on_subsets_and_duplicates(indices, axioms, budget):
+    gen = ProblemGenerator(seed=5)
+    assert_same_matrix(axiom_matrix(indices, axioms, gen, budget),
+                       reference_axiom_matrix(indices, axioms, gen, budget))
+
+
+@pytest.mark.parametrize("budget", [0, 1, 12])
+@pytest.mark.parametrize("axiom", AXIOM_NAMES)
+def test_search_witness_matches_the_per_cell_search(axiom, budget):
+    gen = ProblemGenerator(seed=7)
+    for index in (PRO_RATA, EQUAL_SPLIT, SQUARED_STREAMS):
+        assert (search_witness(index, axiom, gen, budget)
+                == reference_search_witness(index, axiom, gen, budget))
+
+
+@pytest.mark.parametrize("budget", [1, 10, 40])
+def test_matrix_draws_each_problem_once(budget):
+    gen = CountingGenerator(seed=1, max_artists=6, max_users=6)
+    matrix = axiom_matrix(CLI_INDICES, None, gen, budget)
+    # Pro-rata is homogeneous, so its cell stays open through the whole budget.
+    assert matrix[("pro-rata", HOMOGENEITY)].passed
+    assert len(gen.drawn) == budget
+    assert len(set(map(id, gen.drawn))) == budget
+
+
+def test_matrix_stops_drawing_when_every_cell_is_closed():
+    gen = CountingGenerator(seed=0)
+    verdict = axiom_matrix([EQUAL_SPLIT], [EQUAL_INDIVIDUAL_IMPACT], gen, 100)[
+        ("equal-split", EQUAL_INDIVIDUAL_IMPACT)]
+    assert verdict.failed and "reference" not in verdict.detail
+    # Five reference instances, then the failing generated one.
+    assert len(gen.drawn) == verdict.instances - 5 < 100
+
+
+def test_matrix_draws_nothing_when_every_cell_fails_on_a_reference_instance():
+    gen = CountingGenerator(seed=0)
+    matrix = axiom_matrix([UNIFORM, PADDED_SHARE, STREAM_SHARE],
+                          [ADDITIVITY, REASONABLE_LOWER_BOUND, CORE_SELECTION], gen, 100)
+    assert all(v.failed and v.detail.endswith("(reference instance)") for v in matrix.values())
+    assert gen.drawn == []
+    search_witness(PRO_RATA, HOMOGENEITY, gen, 0)
+    assert gen.drawn == []
+
+
+def test_matrix_raises_an_index_error_from_a_generated_problem():
+    def user_centric_unless_six_artists(problem):
+        # No reference instance has six artists, so only the search meets this.
+        if problem.artist_count == 6:
+            raise ZeroIndexSum("every artist scores zero")
+        return USER_CENTRIC(problem)
+
+    flaky = Index("flaky", user_centric_unless_six_artists)
+    gen = ProblemGenerator(seed=0, max_artists=6, max_users=6)
+    assert axiom_matrix([flaky], None, gen, 0)[("flaky", CORE_SELECTION)].passed
+    with pytest.raises(ZeroIndexSum):
+        axiom_matrix([PRO_RATA, flaky, USER_CENTRIC], None, gen, 100)
+    with pytest.raises(ZeroIndexSum):
+        reference_axiom_matrix([PRO_RATA, flaky, USER_CENTRIC], None, gen, 100)

@@ -47,6 +47,7 @@ from helpers import (
     reference_in_core_flow,
     reference_in_core_direct,
     reference_is_supermodular,
+    reference_local_is_supermodular,
     reference_reconstruct_from_dividends,
     reference_streaming_game,
 )
@@ -143,6 +144,36 @@ def test_supermodularity_witness_on_handmade_game():
     gain_small = g.values[small | bit] - g.values[small]
     gain_large = g.values[large | bit] - g.values[large]
     assert gain_large < gain_small
+
+
+def games_with_negative_dividends(seed: int, count: int):
+    """Seeded 2-9 player games rebuilt from dividends, some pairs negative.
+
+    A negative dividend on a pair breaks supermodularity unless positive
+    dividends on the larger coalitions around it make up for it.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 9)
+        dividends = {1 << i: F(rng.randint(0, 5)) for i in range(n)}
+        for mask in rng.sample(range(3, 1 << n), min(12, (1 << n) - 3)):
+            low = -4 if bin(mask).count("1") == 2 else 0
+            dividends[mask] = F(rng.randint(low, 6), rng.randint(1, 3))
+        yield reconstruct_from_dividends(dividends, tuple(f"p{i}" for i in range(n)))
+
+
+def test_packed_supermodularity_matches_the_full_table():
+    verdicts = Counter()
+    games = [*arbitrary_games(seed=90, count=150), *games_with_negative_dividends(91, 150)]
+    for problem in ProblemGenerator(seed=92, max_artists=7, max_users=9).sample(30):
+        games.append(streaming_game(problem))
+    for game in games:
+        result = is_supermodular(game)
+        assert result == reference_local_is_supermodular(game)
+        if game.player_count <= 6:  # the exhaustive scan is O(n * 3**n)
+            assert result.holds == reference_is_supermodular(game).holds
+        verdicts[result.holds] += 1
+    assert verdicts[True] >= 60 and verdicts[False] >= 60
 
 
 def seeded_streaming_problem(seed: int, artists: int, users: int):
