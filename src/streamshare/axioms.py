@@ -28,6 +28,7 @@ from .model import (
     ModelError,
     NonPositiveFee,
     StreamingProblem,
+    _trusted,
     as_rational,
     new_problem,
     problem_from_dict,
@@ -118,8 +119,11 @@ def _pass(axiom: str, index: Index, detail: str = "") -> AxiomVerdict:
     return AxiomVerdict(axiom, index.name, Status.PASS, None, detail)
 
 
-def _fail(axiom: str, index: Index, witness: Mapping, detail: str = "") -> AxiomVerdict:
-    return AxiomVerdict(axiom, index.name, Status.FAIL, witness, detail)
+def _fail(axiom: str, index: Index, problem: StreamingProblem, detail: str,
+          **fields) -> AxiomVerdict:
+    """A FAIL verdict whose witness is the problem followed by ``fields``, in order."""
+    return AxiomVerdict(axiom, index.name, Status.FAIL,
+                        {"problem": problem_to_dict(problem), **fields}, detail)
 
 
 # -- single-premise checks ----------------------------------------------
@@ -144,16 +148,9 @@ def check_homogeneity(index: Index, problem: StreamingProblem,
     got, expected = values[artist], factor * values[other]
     if got == expected:
         return _pass(HOMOGENEITY, index)
-    witness = {
-        "problem": problem_to_dict(problem),
-        "artist": artist,
-        "other": other,
-        "factor": str(factor),
-        "score": str(got),
-        "expected": str(expected),
-    }
-    return _fail(HOMOGENEITY, index, witness,
-                 f"score of {artist!r} is {got}, expected {expected}")
+    return _fail(HOMOGENEITY, index, problem, f"score of {artist!r} is {got}, expected {expected}",
+                 artist=artist, other=other, factor=str(factor), score=str(got),
+                 expected=str(expected))
 
 
 def check_additivity(index: Index, problem: StreamingProblem,
@@ -166,15 +163,10 @@ def check_additivity(index: Index, problem: StreamingProblem,
     for artist, whole, left, right in scores:
         total = left + right
         if whole != total:
-            witness = {
-                "problem": problem_to_dict(problem),
-                "first_group": sorted(part1.users),
-                "artist": artist,
-                "whole": str(whole),
-                "parts_sum": str(total),
-            }
-            return _fail(ADDITIVITY, index, witness,
-                         f"score of {artist!r} is {whole}, parts sum to {total}")
+            return _fail(ADDITIVITY, index, problem,
+                         f"score of {artist!r} is {whole}, parts sum to {total}",
+                         first_group=sorted(part1.users), artist=artist, whole=str(whole),
+                         parts_sum=str(total))
     return _pass(ADDITIVITY, index)
 
 
@@ -196,17 +188,11 @@ def check_equal_individual_impact(index: Index, problem: StreamingProblem,
     without_other = index(problem.remove_user(other_user))[artist]
     if without_user == without_other:
         return _pass(EQUAL_INDIVIDUAL_IMPACT, index)
-    witness = {
-        "problem": problem_to_dict(problem),
-        "artist": artist,
-        "user": user,
-        "other_user": other_user,
-        "without_user": str(without_user),
-        "without_other": str(without_other),
-    }
-    return _fail(EQUAL_INDIVIDUAL_IMPACT, index, witness,
+    return _fail(EQUAL_INDIVIDUAL_IMPACT, index, problem,
                  f"removing {user!r} leaves {without_user}, "
-                 f"removing {other_user!r} leaves {without_other}")
+                 f"removing {other_user!r} leaves {without_other}",
+                 artist=artist, user=user, other_user=other_user,
+                 without_user=str(without_user), without_other=str(without_other))
 
 
 def check_equal_global_impact(index: Index, problem: StreamingProblem,
@@ -218,16 +204,11 @@ def check_equal_global_impact(index: Index, problem: StreamingProblem,
     sum_without_other = index(problem.remove_user(other_user)).total
     if sum_without_user == sum_without_other:
         return _pass(EQUAL_GLOBAL_IMPACT, index)
-    witness = {
-        "problem": problem_to_dict(problem),
-        "user": user,
-        "other_user": other_user,
-        "sum_without_user": str(sum_without_user),
-        "sum_without_other": str(sum_without_other),
-    }
-    return _fail(EQUAL_GLOBAL_IMPACT, index, witness,
+    return _fail(EQUAL_GLOBAL_IMPACT, index, problem,
                  f"total without {user!r} is {sum_without_user}, "
-                 f"without {other_user!r} it is {sum_without_other}")
+                 f"without {other_user!r} it is {sum_without_other}",
+                 user=user, other_user=other_user, sum_without_user=str(sum_without_user),
+                 sum_without_other=str(sum_without_other))
 
 
 def check_reasonable_lower_bound(index: Index, problem: StreamingProblem,
@@ -246,14 +227,9 @@ def check_reasonable_lower_bound(index: Index, problem: StreamingProblem,
     floor = len(users) * problem.fee
     if amount >= floor:
         return _pass(REASONABLE_LOWER_BOUND, index)
-    witness = {
-        "problem": problem_to_dict(problem),
-        "coalition": users,
-        "reached_amount": str(amount),
-        "floor": str(floor),
-    }
-    return _fail(REASONABLE_LOWER_BOUND, index, witness,
-                 f"artists reached by {users} collect {amount} < {floor}")
+    return _fail(REASONABLE_LOWER_BOUND, index, problem,
+                 f"artists reached by {users} collect {amount} < {floor}",
+                 coalition=users, reached_amount=str(amount), floor=str(floor))
 
 
 def check_reasonable_lower_bound_all(index: Index,
@@ -280,16 +256,10 @@ def check_click_fraud_proofness(index: Index, problem: StreamingProblem,
     for artist in problem.artists:
         shift = abs(before[artist] - after[artist])
         if shift > problem.fee:
-            witness = {
-                "problem": problem_to_dict(problem),
-                "perturbed": problem_to_dict(perturbed),
-                "user": user,
-                "artist": artist,
-                "difference": str(shift),
-                "bound": str(problem.fee),
-            }
-            return _fail(CLICK_FRAUD_PROOFNESS, index, witness,
-                         f"payout of {artist!r} moves by {shift} > fee {problem.fee}")
+            return _fail(CLICK_FRAUD_PROOFNESS, index, problem,
+                         f"payout of {artist!r} moves by {shift} > fee {problem.fee}",
+                         perturbed=problem_to_dict(perturbed), user=user, artist=artist,
+                         difference=str(shift), bound=str(problem.fee))
     return _pass(CLICK_FRAUD_PROOFNESS, index)
 
 
@@ -299,17 +269,12 @@ def check_core_selection(index: Index, problem: StreamingProblem) -> AxiomVerdic
     verdict = game_mod.in_core_direct(game_mod.streaming_game(problem), payout)
     if verdict.in_core:
         return _pass(CORE_SELECTION, index)
-    blocking = verdict.blocking_coalition
-    witness = {
-        "problem": problem_to_dict(problem),
-        "allocation": {a: str(x) for a, x in payout.as_dict().items()},
-        "blocking": sorted(blocking) if blocking is not None else None,
-    }
-    if blocking is None:
-        detail = "payout does not sum to the revenue"
-    else:
-        detail = f"coalition {sorted(blocking)} is paid less than it is worth"
-    return _fail(CORE_SELECTION, index, witness, detail)
+    coalition = verdict.blocking_coalition
+    blocking = sorted(coalition) if coalition is not None else None
+    detail = ("payout does not sum to the revenue" if blocking is None
+              else f"coalition {blocking} is paid less than it is worth")
+    return _fail(CORE_SELECTION, index, problem, detail,
+                 allocation={a: str(x) for a, x in payout.as_dict().items()}, blocking=blocking)
 
 
 # -- exhaustive per-instance evaluation ----------------------------------
@@ -359,10 +324,9 @@ def _resampled_column(problem: StreamingProblem, user: str,
         column = [0 if rng.random() < 0.35 else rng.randint(1, high) for _ in range(n)]
         if any(column):
             break
-    streams = tuple(
-        tuple(column[i] if k == j else row[k] for k in range(problem.user_count))
-        for i, row in enumerate(problem.streams))
-    return StreamingProblem._trusted(problem.artists, problem.users, streams, problem.fee)
+    streams = tuple(row[:j] + (c,) + row[j + 1:] for row, c in zip(problem.streams, column))
+    return _trusted(StreamingProblem, artists=problem.artists, users=problem.users,
+                    streams=streams, fee=problem.fee)
 
 
 def reference_fraud_pairs() -> tuple[tuple[StreamingProblem, StreamingProblem, str], ...]:

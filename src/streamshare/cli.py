@@ -74,6 +74,11 @@ def _echo_json(payload) -> None:
     click.echo(json.dumps(payload, indent=2))
 
 
+def _strings(values: model.IndexValues | model.Allocation) -> dict[str, str]:
+    """Per-artist scores or amounts as a JSON object of 'p/q' strings."""
+    return {a: str(x) for a, x in values.as_dict().items()}
+
+
 def _echo_table(headers: list[str], rows: list[list[str]]) -> None:
     widths = [len(h) for h in headers]
     for row in rows:
@@ -133,8 +138,12 @@ def _precision_option(fn):
 
 
 def _method_options(fn):
-    fn = click.option("--method", type=click.Choice(_METHOD_CHOICES),
-                      default="pro-rata", show_default=True)(fn)
+    return _method_parameters(click.option("--method", type=click.Choice(_METHOD_CHOICES),
+                                           default="pro-rata", show_default=True)(fn))
+
+
+def _method_parameters(fn):
+    """The options that banded and weighted-file read, for every command taking --method."""
     fn = click.option("--alpha", type=int, default=None,
                       help="Lower band edge for --method banded.")(fn)
     fn = click.option("--beta", type=int, default=None,
@@ -167,8 +176,8 @@ def allocate(input_path, input_format, fee, method, alpha, beta, weights_file,
             "method": index.name,
             "fee": str(problem.fee),
             "revenue": str(problem.revenue),
-            "index": {a: str(s) for a, s in values.as_dict().items()},
-            "rewards": {a: str(x) for a, x in payout.as_dict().items()},
+            "index": _strings(values),
+            "rewards": _strings(payout),
         })
         return
     rows = [[a, str(values[a]), str(payout[a]), decimal_display(payout[a], precision)]
@@ -182,9 +191,7 @@ def allocate(input_path, input_format, fee, method, alpha, beta, weights_file,
 @_output_option
 @click.option("--method", "methods", type=click.Choice(_METHOD_CHOICES),
               multiple=True, help="Methods to include; repeatable.")
-@click.option("--alpha", type=int, default=None)
-@click.option("--beta", type=int, default=None)
-@click.option("--weights-file", default=None)
+@_method_parameters
 @_guarded
 def compare(input_path, input_format, fee, output_mode, precision,
             methods, alpha, beta, weights_file) -> None:
@@ -196,22 +203,18 @@ def compare(input_path, input_format, fee, output_mode, precision,
             methods += ("banded",)
     resolved = [_method_index(m, alpha, beta, weights_file) for m in methods]
     results = [(idx, idx(problem)) for idx in resolved]
+    payouts = [rewards(problem, values) for _, values in results]
     if output_mode == "json":
         _echo_json({
             "fee": str(problem.fee),
             "revenue": str(problem.revenue),
             "methods": {
-                idx.name: {
-                    "index": {a: str(s) for a, s in values.as_dict().items()},
-                    "rewards": {a: str(x)
-                                for a, x in rewards(problem, values).as_dict().items()},
-                }
-                for idx, values in results
+                idx.name: {"index": _strings(values), "rewards": _strings(payout)}
+                for (idx, values), payout in zip(results, payouts)
             },
         })
         return
     headers = ["artist"] + [idx.name for idx, _ in results]
-    payouts = [rewards(problem, values) for _, values in results]
     rows = [[a] + [f"{payout[a]} ({decimal_display(payout[a], precision)})"
                    for payout in payouts]
             for a in problem.artists]
@@ -255,7 +258,7 @@ def core_check(input_path, input_format, fee, method, alpha, beta, weights_file,
     if output_mode == "json":
         _echo_json({
             "method": index.name,
-            "rewards": {a: str(x) for a, x in payout.as_dict().items()},
+            "rewards": _strings(payout),
             "in_core": in_core,
             "oracles": {
                 "direct": None if direct is None else direct.in_core,

@@ -30,8 +30,8 @@ from itertools import compress, count
 from typing import Iterable, Mapping, Sequence
 
 from .model import (Allocation, DimensionMismatch, DuplicateIdentifier, FeeMismatch, ModelError,
-                    StreamingProblem, _exact_sum, _fractions, _over_common_denominator,
-                    as_rational)
+                    StreamingProblem, UnknownArtist, _exact_sum, _fractions,
+                    _over_common_denominator, _trusted, as_rational)
 
 MAX_ENUMERABLE_PLAYERS = 20
 
@@ -95,6 +95,8 @@ class CoalitionalGame:
     def mask_of(self, coalition: Iterable[str]) -> int:
         mask = 0
         for player in coalition:
+            if player not in self.players:
+                raise UnknownArtist(player)
             mask |= 1 << self.players.index(player)
         return mask
 
@@ -107,7 +109,7 @@ class CoalitionalGame:
 
     @cached_property
     def _integers(self) -> tuple[int, list[int]]:
-        """``(d, worths)`` with ``values[mask] == worths[mask] / d`` for every mask."""
+        """``(d, worths)`` with ``values[mask] == worths[mask] / d``; d need not be the least."""
         return _over_common_denominator(self.values)
 
 
@@ -166,8 +168,10 @@ def streaming_game(problem: StreamingProblem) -> CoalitionalGame:
         counts[sum(compress(bits, column))] += 1
     _subset_sums(counts, n)
     fee = problem.fee
-    return CoalitionalGame(problem.artists,
-                           _fractions([c * fee.numerator for c in counts], fee.denominator))
+    worths = [c * fee.numerator for c in counts]
+    return _trusted(CoalitionalGame, players=problem.artists,
+                    values=_fractions(worths, fee.denominator),
+                    _integers=(fee.denominator, worths))
 
 
 @dataclass(frozen=True)
@@ -273,6 +277,9 @@ def reconstruct_from_dividends(
             raise ModelError("players required when dividends come as a mapping")
         values = [Fraction(0)] * (1 << len(players))
         for mask, value in dividends.items():
+            if type(mask) is not int or not 0 <= mask < len(values):
+                raise DimensionMismatch(
+                    f"dividend key {mask!r} is not a coalition mask in range({len(values)})")
             values[mask] = as_rational(value, "dividend")
     d, table = _over_common_denominator(values)
     _subset_sums(table, len(players))

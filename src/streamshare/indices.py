@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .model import (Allocation, ArtistMismatch, IndexValues, ModelError, StreamingProblem,
-                    UnknownUser, _fractions, _over_common_denominator, as_rational)
+                    UnknownUser, _fractions, _over_common_denominator, _trusted, as_rational)
 
 
 class NonPositiveWeight(ModelError):
@@ -88,8 +88,8 @@ def _scores(artists: tuple[str, ...], numerators: list[int], common: int) -> Ind
     positive denominator, with at least one numerator positive, so the
     entries and their exact total need no further checks.
     """
-    return IndexValues._trusted(artists, _fractions(numerators, common),
-                                Fraction(sum(numerators), common))
+    return _trusted(IndexValues, artists=artists, scores=_fractions(numerators, common),
+                    total=Fraction(sum(numerators), common))
 
 
 def weighted_index(problem: StreamingProblem, weights: WeightSystem) -> IndexValues:
@@ -178,8 +178,8 @@ def rewards(problem: StreamingProblem, values: IndexValues) -> Allocation:
     revenue = problem.revenue
     factor = revenue / total
     # The amounts sum to ``revenue`` exactly, so that is their total.
-    return Allocation._trusted(problem.artists, tuple(s * factor for s in values.scores),
-                               revenue)
+    return _trusted(Allocation, artists=problem.artists,
+                    amounts=tuple(s * factor for s in values.scores), total=revenue)
 
 
 # -- reference indices with known defects --------------------------------

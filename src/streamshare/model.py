@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from numbers import Rational
+from operator import itemgetter
 from typing import ClassVar, Iterable, Mapping, Sequence
 
 
@@ -148,6 +149,18 @@ def _exact_sum(values: Iterable[Fraction]) -> Fraction:
     return Fraction(sum(numerators), d)
 
 
+def _trusted(cls: type, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given.
+
+    Skips ``__post_init__``, so it is only for values derived from valid ones:
+    every field must already have the type and the invariants that the public
+    constructor establishes.  A field may also prefill a ``cached_property``.
+    """
+    out = object.__new__(cls)
+    vars(out).update(fields)
+    return out
+
+
 def decimal_display(value: Fraction, places: int) -> str:
     """Render ``value`` with ``places`` decimals, rounding halves away from zero.
 
@@ -219,18 +232,6 @@ class StreamingProblem:
         for j, user in enumerate(self.users):
             if all(row[j] == 0 for row in self.streams):
                 raise EmptyUserColumn(user)
-
-    @classmethod
-    def _trusted(cls, artists: tuple[str, ...], users: tuple[str, ...],
-                 streams: tuple[tuple[int, ...], ...], fee: Fraction) -> "StreamingProblem":
-        """A problem from fields already known to be valid; skips ``__post_init__``.
-
-        Only for problems derived from valid ones: every argument must already
-        have the type and the invariants that ``__post_init__`` establishes.
-        """
-        problem = object.__new__(cls)
-        vars(problem).update(artists=artists, users=users, streams=streams, fee=fee)
-        return problem
 
     @cached_property
     def _artist_position(self) -> dict[str, int]:
@@ -305,9 +306,7 @@ class StreamingProblem:
         j = self.user_index(user)
         if self.user_count == 1:
             raise WouldBeEmpty("removing the only user leaves nothing to divide")
-        users = self.users[:j] + self.users[j + 1:]
-        streams = tuple(row[:j] + row[j + 1:] for row in self.streams)
-        return StreamingProblem._trusted(self.artists, users, streams, self.fee)
+        return self._columns([k for k in range(self.user_count) if k != j])
 
     def with_fee(self, fee: int | str | Fraction) -> "StreamingProblem":
         return StreamingProblem(self.artists, self.users, self.streams, fee)
@@ -324,9 +323,10 @@ class StreamingProblem:
 
     def _columns(self, cols: Sequence[int]) -> "StreamingProblem":
         """The problem on the user columns ``cols``, in that order; ``cols`` must be nonempty."""
-        users = tuple(map(self.users.__getitem__, cols))
-        streams = tuple(tuple(map(row.__getitem__, cols)) for row in self.streams)
-        return StreamingProblem._trusted(self.artists, users, streams, self.fee)
+        # itemgetter of one position returns the entry itself; a slice keeps a 1-tuple.
+        pick = itemgetter(*cols) if len(cols) > 1 else itemgetter(slice(cols[0], cols[0] + 1))
+        return _trusted(StreamingProblem, artists=self.artists, users=pick(self.users),
+                        streams=tuple(map(pick, self.streams)), fee=self.fee)
 
 
 def new_problem(
@@ -349,9 +349,7 @@ def reorder_users(problem: StreamingProblem, users: Sequence[str]) -> StreamingP
     users = tuple(users)
     if sorted(users) != sorted(problem.users):
         raise InvalidPartition("user order must be a permutation of the users")
-    positions = [problem.user_index(u) for u in users]
-    streams = tuple(tuple(row[j] for j in positions) for row in problem.streams)
-    return StreamingProblem._trusted(problem.artists, users, streams, problem.fee)
+    return problem._columns([problem.user_index(u) for u in users])
 
 
 def merge_problems(first: StreamingProblem, second: StreamingProblem) -> StreamingProblem:
@@ -367,9 +365,9 @@ def merge_problems(first: StreamingProblem, second: StreamingProblem) -> Streami
         raise FeeMismatch(f"fees differ: {first.fee} vs {second.fee}")
     if set(first.users) & set(second.users):
         raise OverlappingUsers(f"shared users: {sorted(set(first.users) & set(second.users))}")
-    users = first.users + second.users
     streams = tuple(a + b for a, b in zip(first.streams, second.streams))
-    return StreamingProblem._trusted(first.artists, users, streams, first.fee)
+    return _trusted(StreamingProblem, artists=first.artists, users=first.users + second.users,
+                    streams=streams, fee=first.fee)
 
 
 def split_problem(
@@ -402,7 +400,8 @@ class _ArtistValues:
 
     ``_field`` names the value field; ``_positive`` forbids an all-zero total.
     The public constructor checks the entries once and stores ``total``;
-    ``_trusted`` stores values and a total that the caller built exactly.
+    :func:`_trusted` takes nonnegative Fractions, one per artist, and their
+    exact sum as ``total`` (positive for IndexValues) without checking them.
     """
 
     artists: tuple[str, ...]
@@ -421,19 +420,6 @@ class _ArtistValues:
         object.__setattr__(self, "total", Fraction(sum(numerators), d))
         if self._positive and self.total <= 0:
             raise ModelError(f"{self._field} must not all be zero")
-
-    @classmethod
-    def _trusted(cls, artists: tuple[str, ...], values: tuple[Fraction, ...],
-                 total: Fraction):
-        """Values whose checks the caller guarantees; skips ``__post_init__``.
-
-        ``values`` must be nonnegative Fractions, one per artist, and
-        ``total`` must equal their sum exactly (and be positive for
-        IndexValues).
-        """
-        out = object.__new__(cls)
-        vars(out).update({"artists": artists, cls._field: values, "total": total})
-        return out
 
     @cached_property
     def _position(self) -> dict[str, int]:

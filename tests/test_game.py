@@ -12,11 +12,13 @@ from streamshare import (
     Allocation,
     CoalitionalGame,
     CoreDecomposition,
+    DimensionMismatch,
     ModelError,
     NotInCore,
     PRO_RATA,
     TooManyPlayers,
     USER_CENTRIC,
+    UnknownArtist,
     banded_index,
     extract_decomposition,
     harsanyi_dividends,
@@ -229,6 +231,21 @@ def test_reconstruct_from_mapping():
     assert g.values == (F(0), F(0), F(0), F(1))
     with pytest.raises(ValueError):
         reconstruct_from_dividends({0b1: F(1)})
+
+
+@pytest.mark.parametrize("mask", [-1, 4, 1 << 40, "1", 1.0, True, None])
+def test_reconstruct_rejects_dividend_keys_that_are_not_masks(mask):
+    with pytest.raises(DimensionMismatch,
+                       match=re.escape(f"dividend key {mask!r} is not a coalition mask")):
+        reconstruct_from_dividends({0b10: F(1), mask: F(1)}, players=("x", "y"))
+
+
+def test_mask_of_names_an_unknown_player(two_user):
+    g = streaming_game(two_user)
+    assert g.mask_of(["2", "1"]) == 0b11 and g.mask_of([]) == 0
+    with pytest.raises(UnknownArtist, match=re.escape("unknown artist 'z'")) as caught:
+        g.mask_of(["1", "z"])
+    assert caught.value.artist == "z"
 
 
 # -- core oracles ---------------------------------------------------------------
@@ -604,6 +621,40 @@ def test_coalition_layer_matches_reference_on_streaming_games():
                        rewards(problem, PRO_RATA(problem)),
                        rewards(problem, USER_CENTRIC(problem))]
         assert_coalition_layer_matches_reference(game, allocations)
+
+
+def _repeated_users(problem, copies: int, fee):
+    """The problem at ``fee`` with every user column repeated ``copies`` times."""
+    users = [f"{u}{k}" for k in range(copies) for u in problem.users]
+    return new_problem(problem.artists, users, [row * copies for row in problem.streams], fee)
+
+
+@pytest.mark.parametrize("fee, copies", [(1, 1), (F(7, 3), 1), (F(7, 3), 3), (F(1, 2), 1),
+                                         (F(1, 2), 2)])
+def test_streaming_game_integer_table_matches_a_validated_game(fee, copies):
+    """The integer table a streaming game carries answers like the one a game recomputes.
+
+    With every coalition count a multiple of the fee's denominator, the worths
+    are integers, so a validated game reduces them to denominator 1 while the
+    streaming game keeps the fee's.
+    """
+    rng = random.Random(66)
+    for problem in ProblemGenerator(seed=67, max_artists=6).sample(60):
+        problem = _repeated_users(problem, copies, fee)
+        g = streaming_game(problem)
+        d, worths = g._integers
+        assert len(worths) == len(g.values)
+        assert all(value == F(worth, d) for value, worth in zip(g.values, worths))
+        validated = CoalitionalGame(g.players, g.values)
+        assert validated == g
+        if copies > 1:
+            assert validated._integers[0] == 1 and d == F(fee).denominator > 1
+        assert harsanyi_dividends(g) == harsanyi_dividends(validated)
+        assert is_supermodular(g) == is_supermodular(validated)
+        for amounts in (perturbed_allocation(problem, rng), random_member(problem, rng),
+                        rewards(problem, PRO_RATA(problem)),
+                        rewards(problem, USER_CENTRIC(problem))):
+            assert in_core_direct(g, amounts) == in_core_direct(validated, amounts)
 
 
 def test_validate_and_domain_agree_with_listened_sets():
