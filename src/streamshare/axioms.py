@@ -27,6 +27,7 @@ from .indices import Index, rewards
 from .model import (
     ModelError,
     NonPositiveFee,
+    PremiseViolated,
     StreamingProblem,
     _trusted,
     as_rational,
@@ -67,10 +68,6 @@ def normalize_axiom(name: str) -> str:
     if canon not in AXIOM_NAMES:
         raise ModelError(f"unknown axiom {name!r}; expected one of {AXIOM_NAMES}")
     return canon
-
-
-class PremiseViolated(ModelError):
-    """The supplied arguments do not satisfy the property's premise."""
 
 
 class Status(Enum):

@@ -12,17 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain, compress, count
 from typing import Callable, NamedTuple, Sequence, Union
 
-from .model import ModelError, StreamingProblem, _exact_sum, _over_common_denominator, as_rational
-
-
-class InvalidProblem(ModelError):
-    """Claims data violating the model: negative claims, short endowment, ..."""
-
-
-class WeightContractViolated(ModelError):
-    """An issue-weight function must return a probability vector."""
+from .model import (InvalidProblem, StreamingProblem, WeightContractViolated, _exact_sum,
+                    _fractions, _over_common_denominator, _trusted, as_rational)
 
 
 def _rational_tuple(values: Sequence, what: str) -> tuple[Fraction, ...]:
@@ -129,7 +124,10 @@ class MultiIssueClaims:
 
     ``claims[i][j]`` is agent i's claim on issue j.  Every issue must carry
     at least one positive claim, and the endowment may not exceed the grand
-    total.
+    total.  The public constructor checks all of this once and stores the
+    issue totals and their sum ``_total``; :func:`streaming_to_claims`
+    builds its value with :func:`model._trusted` from those of a validated
+    streaming problem, and also prefills ``_supports``.
     """
 
     agents: tuple[str, ...]
@@ -162,13 +160,28 @@ class MultiIssueClaims:
         for issue, total in zip(self.issues, totals):
             if total == 0:
                 raise InvalidProblem(f"issue {issue!r} carries no claims")
-        if _exact_sum(totals) < self.endowment:
-            raise InvalidProblem(
-                f"endowment {self.endowment} exceeds total claims")
+        grand = _exact_sum(totals)
+        _require_solvent(grand, self.endowment)
         object.__setattr__(self, "_issue_totals", totals)
+        object.__setattr__(self, "_total", grand)
 
     def issue_totals(self) -> tuple[Fraction, ...]:
         return self._issue_totals
+
+    @cached_property
+    def _supports(self) -> tuple[tuple[int, ...], ...]:
+        """Per issue, the positions of the agents holding a positive claim on it."""
+        return _nonzero_positions(zip(*self.claims))
+
+
+def _require_solvent(total: Fraction, endowment: Fraction) -> None:
+    if total < endowment:
+        raise InvalidProblem(f"endowment {endowment} exceeds total claims")
+
+
+def _nonzero_positions(columns) -> tuple[tuple[int, ...], ...]:
+    """Per column, the positions of its nonzero entries."""
+    return tuple(tuple(compress(count(), column)) for column in columns)
 
 
 @dataclass(frozen=True)
@@ -226,9 +239,24 @@ def weighted_proportional(problem: MultiIssueClaims,
                  for row in problem.claims)
 
 
+def _built_in(rule: BankruptcyRule) -> bool:
+    """Whether ``rule`` returns one exact, nonnegative award per claimant of a valid problem."""
+    return rule is proportional_rule or rule is cea_awards
+
+
 def _stage(rule: BankruptcyRule, claimant: str, stage: str, claimants: tuple[str, ...],
-           claims: Sequence[Fraction], endowment: Fraction) -> tuple[Fraction, ...]:
-    """One stage of ``two_stage_rule``: run ``rule`` and hold its awards to the contract."""
+           claims: Sequence[Fraction], endowment: Fraction,
+           total: Fraction | None = None) -> tuple[Fraction, ...]:
+    """One stage of ``two_stage_rule``: run ``rule`` and hold its awards to the contract.
+
+    Pass ``total`` only for a problem known to be valid whose claims sum to
+    it: a built-in rule then runs on it unchecked and its awards are taken
+    as they are.  A callable rule always gets a validated problem and is
+    held to the contract.
+    """
+    if total is not None and _built_in(rule):
+        return rule(_trusted(BankruptcyProblem, agents=claimants, claims=claims,
+                             endowment=endowment, _total=total))
     try:
         awards = _rational_tuple(rule(BankruptcyProblem(claimants, claims, endowment)), "awards")
         if len(awards) != len(claimants):
@@ -250,19 +278,34 @@ def two_stage_rule(problem: MultiIssueClaims,
     issue's award among the agents with ``agent_stage``, using the original
     claims on that issue.  Each stage must return one exact, nonnegative
     award per claimant.  Any InvalidProblem raised inside a stage, or by a
-    stage breaking that contract, is re-raised tagged with the stage.
+    stage breaking that contract, is re-raised tagged with the stage.  The
+    built-in rules keep the contract and run unchecked, except for an agent
+    stage after a callable issue stage, which may overspend an issue.
     """
     psi = resolve_rule(issue_stage)
     phi = resolve_rule(agent_stage)
+    totals = problem.issue_totals()
     issue_budgets = _stage(psi, "issue", "issue stage",
-                           problem.issues, problem.issue_totals(), problem.endowment)
+                           problem.issues, totals, problem.endowment, problem._total)
     terms = [[] for _ in problem.agents]
-    for issue, column, budget in zip(problem.issues, zip(*problem.claims), issue_budgets):
-        column_awards = _stage(phi, "agent", f"agent stage, issue {issue!r}",
-                               problem.agents, column, budget)
-        for agent_terms, award in zip(terms, column_awards):
-            if award:
-                agent_terms.append(award)
+    if _built_in(psi) and _built_in(phi):
+        # A built-in issue stage keeps every budget within its issue's total, and
+        # a built-in rule awards nothing on a zero claim: ration among the claimants.
+        agents, claims = problem.agents, problem.claims
+        for j, (issue, support, budget, total) in enumerate(
+                zip(problem.issues, problem._supports, issue_budgets, totals)):
+            awards = _stage(phi, "agent", f"agent stage, issue {issue!r}",
+                            tuple(agents[i] for i in support),
+                            tuple(claims[i][j] for i in support), budget, total)
+            for i, award in zip(support, awards):
+                terms[i].append(award)
+    else:
+        for issue, column, budget in zip(problem.issues, zip(*problem.claims), issue_budgets):
+            column_awards = _stage(phi, "agent", f"agent stage, issue {issue!r}",
+                                   problem.agents, column, budget)
+            for agent_terms, award in zip(terms, column_awards):
+                if award:
+                    agent_terms.append(award)
     return tuple(_exact_sum(agent_terms) for agent_terms in terms)
 
 
@@ -271,14 +314,21 @@ def streaming_to_claims(problem: StreamingProblem) -> MultiIssueClaims:
 
     Users become issues, stream counts become claims, and the endowment is
     the platform revenue.  Solvency holds whenever each user averages at
-    least the fee in streams; otherwise construction fails.
+    least the fee in streams; otherwise construction fails.  The counts of
+    a validated problem are nonnegative integers with a positive total per
+    user, so solvency is the only check left to make.
     """
-    return MultiIssueClaims(
-        agents=problem.artists,
-        issues=problem.users,
-        claims=problem.streams,
-        endowment=problem.revenue,
-    )
+    columns = tuple(zip(*problem.streams))
+    sums = list(map(sum, columns))
+    total = Fraction(sum(sums))
+    revenue = problem.revenue
+    _require_solvent(total, revenue)
+    m = problem.user_count
+    cells = _fractions(list(chain.from_iterable(problem.streams)), 1)
+    return _trusted(MultiIssueClaims, agents=problem.artists, issues=problem.users,
+                    claims=tuple(cells[k:k + m] for k in range(0, len(cells), m)),
+                    endowment=revenue, _issue_totals=_fractions(sums, 1), _total=total,
+                    _supports=_nonzero_positions(columns))
 
 
 def streaming_to_bankruptcy(problem: StreamingProblem) -> BankruptcyProblem:

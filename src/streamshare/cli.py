@@ -17,9 +17,8 @@ from itertools import compress
 
 import click
 
-from . import axioms as axioms_mod
-from . import claims as claims_mod
-from . import game as game_mod
+# game, claims and axioms are imported by the subcommands that run them, so
+# allocate and compare never load them.
 from . import indices as indices_mod
 from . import model
 from .indices import Index, index_from_weights, rewards, table_weight_system
@@ -238,6 +237,8 @@ def _blocks(problem: model.StreamingProblem, payout: model.Allocation,
 def core_check(input_path, input_format, fee, method, alpha, beta, weights_file,
                output_mode, precision) -> None:
     """Test a method's payout for stability, with both oracles."""
+    from . import game as game_mod
+
     problem = _load_problem(input_path, input_format, fee)
     index = _method_index(method, alpha, beta, weights_file)
     payout = rewards(problem, index(problem))
@@ -295,6 +296,8 @@ def core_check(input_path, input_format, fee, method, alpha, beta, weights_file,
 @_guarded
 def game(input_path, input_format, fee, output_mode) -> None:
     """Print the coalition worths, dividends, and the supermodularity check."""
+    from . import game as game_mod
+
     problem = _load_problem(input_path, input_format, fee)
     try:
         g = game_mod.streaming_game(problem)
@@ -337,6 +340,8 @@ def game(input_path, input_format, fee, output_mode) -> None:
 def claims(input_path, input_format, fee, output_mode, precision,
            stage1, stage2) -> None:
     """Divide the revenue as a two-stage claims problem."""
+    from . import claims as claims_mod
+
     problem = _load_problem(input_path, input_format, fee)
     multi = claims_mod.streaming_to_claims(problem)
     awards = claims_mod.two_stage_rule(multi, stage1, stage2)
@@ -370,6 +375,8 @@ def claims(input_path, input_format, fee, output_mode, precision,
 def axioms(output_mode, seed, budget, index_names, axiom_names,
            alpha, beta) -> None:
     """Check the built-in indices against the fairness properties."""
+    from . import axioms as axioms_mod
+
     catalog = indices_mod.standard_indices(alpha, beta)
     if index_names is None:
         chosen = [idx for name, idx in catalog.items() if name != "banded"]

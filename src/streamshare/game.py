@@ -30,18 +30,16 @@ from itertools import compress, count
 from typing import Iterable, Mapping, Sequence
 
 from .model import (Allocation, DimensionMismatch, DuplicateIdentifier, FeeMismatch, ModelError,
-                    StreamingProblem, UnknownArtist, _exact_sum, _fractions,
-                    _over_common_denominator, _trusted, as_rational)
+                    NotInCore, StreamingProblem, TooManyPlayers, UnknownArtist, _exact_sum,
+                    _fractions, _over_common_denominator, _trusted, as_rational)
 
 MAX_ENUMERABLE_PLAYERS = 20
 
 
-class TooManyPlayers(ModelError):
-    """Coalition enumeration is capped to keep 2**n tables in memory."""
-
-
-class NotInCore(ModelError):
-    """No per-user decomposition exists for this allocation."""
+def _check_cap(n: int, what: str) -> None:
+    """Refuse ``n`` players before any 2**n table is allocated."""
+    if n > MAX_ENUMERABLE_PLAYERS:
+        raise TooManyPlayers(f"{n} {what} exceeds the {MAX_ENUMERABLE_PLAYERS}-player cap")
 
 
 def _amounts(allocation: Allocation | Sequence[Fraction], n: int) -> tuple[Fraction, ...]:
@@ -73,8 +71,7 @@ class CoalitionalGame:
         n = len(self.players)
         if n == 0:
             raise DimensionMismatch("need at least one player")
-        if n > MAX_ENUMERABLE_PLAYERS:
-            raise TooManyPlayers(f"{n} players exceeds the {MAX_ENUMERABLE_PLAYERS}-player cap")
+        _check_cap(n, "players")
         if len(set(self.players)) != n:
             raise DuplicateIdentifier("duplicate player identifier")
         values = tuple(self.values)
@@ -159,9 +156,7 @@ def streaming_game(problem: StreamingProblem) -> CoalitionalGame:
     scaled by the fee.
     """
     n = problem.artist_count
-    if n > MAX_ENUMERABLE_PLAYERS:
-        raise TooManyPlayers(
-            f"{n} artists exceeds the {MAX_ENUMERABLE_PLAYERS}-player cap")
+    _check_cap(n, "artists")
     counts = [0] * (1 << n)
     bits = [1 << i for i in range(n)]
     for column in zip(*problem.streams):
@@ -275,6 +270,7 @@ def reconstruct_from_dividends(
     else:
         if players is None:
             raise ModelError("players required when dividends come as a mapping")
+        _check_cap(len(players), "players")
         values = [Fraction(0)] * (1 << len(players))
         for mask, value in dividends.items():
             if type(mask) is not int or not 0 <= mask < len(values):

@@ -81,6 +81,26 @@ class InvalidPartition(ModelError):
     """A user split must name a nonempty proper subset of existing users."""
 
 
+class TooManyPlayers(ModelError):
+    """Coalition enumeration is capped to keep 2**n tables in memory."""
+
+
+class NotInCore(ModelError):
+    """No per-user decomposition exists for this allocation."""
+
+
+class InvalidProblem(ModelError):
+    """Claims data violating the model: negative claims, short endowment, ..."""
+
+
+class WeightContractViolated(ModelError):
+    """An issue-weight function must return a probability vector."""
+
+
+class PremiseViolated(ModelError):
+    """The supplied arguments do not satisfy the property's premise."""
+
+
 class ParseError(ModelError):
     """Malformed serialized problem, with a location when one is known."""
 
@@ -313,10 +333,7 @@ class StreamingProblem:
 
     def select_users(self, subset: Iterable[str]) -> "StreamingProblem":
         """Restriction to a nonempty subset of users (input order preserved)."""
-        wanted = set(subset)
-        for u in wanted:
-            self.user_index(u)
-        cols = [j for j, u in enumerate(self.users) if u in wanted]
+        cols = sorted({self.user_index(u) for u in subset})
         if not cols:
             raise InvalidPartition("user subset is empty")
         return self._columns(cols)
@@ -380,13 +397,9 @@ def split_problem(
     sides, so ``merge_problems(*split_problem(p, g))`` returns a problem
     equal to ``p`` up to user ordering.
     """
-    chosen = set(first_users)
-    for u in chosen:
-        problem.user_index(u)
-    first: list[int] = []
-    rest: list[int] = []
-    for j, u in enumerate(problem.users):
-        (first if u in chosen else rest).append(j)
+    chosen = {problem.user_index(u) for u in first_users}
+    first = sorted(chosen)
+    rest = [j for j in range(problem.user_count) if j not in chosen]
     if not first:
         raise InvalidPartition("first part of the split is empty")
     if not rest:

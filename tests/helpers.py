@@ -309,6 +309,34 @@ def reference_two_stage_rule(problem: MultiIssueClaims, issue_stage, agent_stage
     return tuple(awards)
 
 
+# ``streaming_to_claims`` and the stage contract of ``two_stage_rule`` before
+# streaming claims and the built-in rules skipped revalidation: every claim
+# went through the public constructors and every award was coerced again.
+# Kept unchanged as the reference for the differential test of that path.
+def reference_streaming_to_claims(problem: StreamingProblem) -> MultiIssueClaims:
+    return MultiIssueClaims(
+        agents=problem.artists,
+        issues=problem.users,
+        claims=problem.streams,
+        endowment=problem.revenue,
+    )
+
+
+def reference_stage(rule, claimant: str, stage: str, claimants: tuple[str, ...],
+                    claims: Sequence[Fraction], endowment: Fraction) -> tuple[Fraction, ...]:
+    try:
+        awards = tuple(as_rational(a, "awards must be exact rationals; each entry",
+                                   InvalidProblem)
+                       for a in rule(BankruptcyProblem(claimants, claims, endowment)))
+        if len(awards) != len(claimants):
+            raise InvalidProblem(f"one award per {claimant} required")
+        if any(a.numerator < 0 for a in awards):
+            raise InvalidProblem("awards must be nonnegative")
+    except InvalidProblem as exc:
+        raise InvalidProblem(f"{stage}: {exc}") from exc
+    return awards
+
+
 # -- reference coalition loops ------------------------------------------------
 #
 # The Fraction loops over 2**n coalitions that built streaming games, checked

@@ -15,6 +15,7 @@ from streamshare import (
     PRO_RATA,
     USER_CENTRIC,
     WeightContractViolated,
+    as_rational,
     cea_awards,
     cea_rule,
     equal_issue_weights,
@@ -30,6 +31,7 @@ from streamshare import (
 from streamshare.axioms import ProblemGenerator
 from streamshare.claims import (
     BANKRUPTCY_RULES,
+    _stage,
     multi_issue_from_dict,
     multi_issue_to_dict,
     resolve_rule,
@@ -38,6 +40,8 @@ from helpers import (
     reference_cea_rule,
     reference_issue_size_weights,
     reference_proportional_rule,
+    reference_stage,
+    reference_streaming_to_claims,
     reference_two_stage_rule,
     reference_weighted_proportional,
     sparse_problem_with_silent_artists,
@@ -488,3 +492,102 @@ def test_issue_stage_awards_must_be_exact_and_nonnegative():
     for stage in (inexact, negative):
         with pytest.raises(InvalidProblem, match=r"^issue stage: awards must be"):
             two_stage_rule(small_multi(), stage, "proportional")
+
+
+# -- the trusted streaming view ----------------------------------------------------
+
+
+def streaming_views():
+    """Generated problems at three fees, some insolvent, and sparse catalogs."""
+    for fee in (1, F(5, 2), F(7, 3)):
+        for max_streams in (3, 40):
+            yield from ProblemGenerator(seed=47, max_artists=7, max_users=9,
+                                        max_streams=max_streams, fee=fee).sample(20)
+    yield sparse_problem_with_silent_artists(48)
+    yield sparse_problem_with_silent_artists(49, fee=F(7, 3))
+
+
+def test_streaming_to_claims_matches_the_public_constructor():
+    solvent = insolvent = 0
+    for problem in streaming_views():
+        try:
+            expected = reference_streaming_to_claims(problem)
+        except InvalidProblem as exc:
+            with pytest.raises(InvalidProblem) as got:
+                streaming_to_claims(problem)
+            assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+            insolvent += 1
+            continue
+        mc = streaming_to_claims(problem)
+        assert mc == expected
+        assert mc.issue_totals() == expected.issue_totals()
+        assert mc._total == expected._total
+        assert mc._supports == expected._supports
+        assert all(type(c) is Fraction for row in mc.claims for c in row)
+        assert all(type(t) is Fraction for t in mc.issue_totals() + (mc._total, mc.endowment))
+        if problem.user_count < 10:  # the reference loops take seconds on the sparse ones
+            assert_rules_match_reference(mc)
+        solvent += 1
+    assert solvent > 80 and insolvent > 5
+    thin = new_problem(["1"], ["a", "b"], [[1, 1]], fee=2)
+    with pytest.raises(InvalidProblem, match=r"^endowment 4 exceeds total claims$"):
+        streaming_to_claims(thin)
+
+
+def test_trusted_stages_match_the_checked_stage():
+    for problem in streaming_views():
+        try:
+            mc = streaming_to_claims(problem)
+        except InvalidProblem:
+            continue
+        totals = mc.issue_totals()
+        for rule in STAGES + (overspend,):
+            rule = resolve_rule(rule)
+            assert outcome(_stage, rule, "issue", "issue stage", mc.issues, totals,
+                           mc.endowment, mc._total) == outcome(
+                reference_stage, rule, "issue", "issue stage", mc.issues, totals, mc.endowment)
+        budgets = _stage(BANKRUPTCY_RULES["cea"], "issue", "issue stage", mc.issues, totals,
+                         mc.endowment, mc._total)
+        for issue, column, budget, total in zip(mc.issues, zip(*mc.claims), budgets, totals):
+            for rule in STAGES:
+                rule = resolve_rule(rule)
+                label = f"agent stage, issue {issue!r}"
+                assert outcome(_stage, rule, "agent", label, mc.agents, column, budget,
+                               total) == outcome(
+                    reference_stage, rule, "agent", label, mc.agents, column, budget)
+
+
+class UnhashableRule:
+    __hash__ = None
+
+    def __call__(self, problem):
+        return proportional_rule(problem)
+
+
+def test_stage_rules_need_not_be_hashable(three_user):
+    mc = streaming_to_claims(three_user)
+    expected = two_stage_rule(mc, "proportional", "proportional")
+    assert two_stage_rule(mc, UnhashableRule(), "proportional") == expected
+    assert two_stage_rule(mc, "proportional", UnhashableRule()) == expected
+
+
+def test_callable_issue_stage_is_checked_on_streaming_claims(three_user):
+    mc = streaming_to_claims(three_user)
+    for agent_stage in ("proportional", "cea", priority_rule):
+        with pytest.raises(InvalidProblem, match=r"^agent stage, issue 'a': endowment 20 "
+                                                 r"exceeds total claims 10$"):
+            two_stage_rule(mc, overspend, agent_stage)
+
+
+def test_streaming_two_stage_rule_coerces_per_issue_not_per_cell(monkeypatch):
+    problem = sparse_problem_with_silent_artists(50)
+    calls = []
+
+    def counting(value, *args, **kwargs):
+        calls.append(value)
+        return as_rational(value, *args, **kwargs)
+
+    monkeypatch.setattr("streamshare.claims.as_rational", counting)
+    awards = two_stage_rule(streaming_to_claims(problem), "cea", "proportional")
+    assert len(calls) <= problem.user_count + problem.artist_count
+    assert awards == rewards(problem, USER_CENTRIC(problem)).amounts

@@ -538,6 +538,33 @@ def run_cli(*args, stdin=b""):
                           input=stdin, capture_output=True, env=env)
 
 
+LOADS_MODULES = """
+import atexit, json, sys
+atexit.register(lambda: print(json.dumps(sorted(sys.modules)), file=sys.stderr))
+from streamshare.cli import main
+main()
+"""
+
+
+@pytest.mark.parametrize("command, loaded", [
+    (("allocate", "--method", "user-centric"), set()),
+    (("compare",), set()),
+    (("claims",), {"streamshare.claims"}),
+])
+def test_commands_import_only_what_they_run(two_user_csv, command, loaded):
+    src = str(Path(streamshare.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run(
+        [sys.executable, "-c", LOADS_MODULES, command[0], "-i", two_user_csv, *command[1:]],
+        capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    modules = set(json.loads(result.stderr.splitlines()[-1]))
+    assert "streamshare.cli" in modules
+    lazy = {"streamshare.game", "streamshare.claims", "streamshare.axioms"}
+    assert modules & lazy == loaded
+
+
 BAD_INPUTS = {
     "non-utf8-csv": ("allocate", "-i", "{latin1}"),
     "deeply-nested-json": ("allocate", "-i", "{deep}"),

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import re
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from streamshare import (
 )
 from streamshare.axioms import ProblemGenerator
 from streamshare.game import (
+    MAX_ENUMERABLE_PLAYERS,
     _FlowNetwork,
     decomposition_to_dict,
     dividends_to_dict,
@@ -238,6 +240,20 @@ def test_reconstruct_rejects_dividend_keys_that_are_not_masks(mask):
     with pytest.raises(DimensionMismatch,
                        match=re.escape(f"dividend key {mask!r} is not a coalition mask")):
         reconstruct_from_dividends({0b10: F(1), mask: F(1)}, players=("x", "y"))
+
+
+@pytest.mark.parametrize("n", [21, 40])
+def test_reconstruct_checks_the_player_cap_before_allocating(n):
+    players = tuple(f"p{i}" for i in range(n))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooManyPlayers,
+                           match=f"^{n} players exceeds the {MAX_ENUMERABLE_PLAYERS}-player cap$"):
+            reconstruct_from_dividends({1: F(1)}, players)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_mask_of_names_an_unknown_player(two_user):

@@ -53,6 +53,15 @@ from helpers import revalidated, three_user_problem, two_user_problem
 # -- construction and aggregates ---------------------------------------
 
 
+def test_package_names_resolve_on_first_use():
+    assert {"game", "claims", "axioms", "CoalitionalGame", "two_stage_rule",
+            "axiom_matrix", "StreamingProblem", "rewards"} <= set(dir(streamshare))
+    assert streamshare.two_stage_rule is claims.two_stage_rule
+    assert streamshare.streaming_game is game.streaming_game
+    assert streamshare.game is game
+    assert not hasattr(streamshare, "nope")
+
+
 def test_two_user_totals(two_user):
     assert two_user.artist_total("1") == 10
     assert two_user.artist_total("2") == 90
@@ -218,6 +227,15 @@ def test_split_rejects_trivial_partitions(three_user):
         split_problem(three_user, [])
     with pytest.raises(InvalidPartition):
         split_problem(three_user, ["a", "b", "c"])
+
+
+def test_unknown_user_named_in_callers_order(three_user):
+    # The first unknown user in the caller's order is named, whatever the hash seed.
+    for users, named in ((["x", "y", "z"], "x"), (["a", "z", "y"], "z"), (("c", "q"), "q")):
+        with pytest.raises(UnknownUser, match=f"^unknown user '{named}'$"):
+            split_problem(three_user, users)
+        with pytest.raises(UnknownUser, match=f"^unknown user '{named}'$"):
+            three_user.select_users(iter(users))
 
 
 def test_merge_requires_same_artists(two_user):
