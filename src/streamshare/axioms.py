@@ -10,6 +10,10 @@ On any single instance, premise-bearing properties are checked against
 every premise tuple the instance supports (all proportional row pairs, all
 user splits, and so on).  Instances too small to state a property count as
 not-applicable, never as passes.
+
+The checks compare index values on their integer form (numerators over one
+denominator) by cross-multiplication, and build Fractions only to write
+the witness of a failure.
 """
 from __future__ import annotations
 
@@ -23,8 +27,9 @@ from itertools import chain, combinations, groupby, islice
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import game as game_mod
-from .indices import Index, rewards
+from .indices import Index, _check_artists, rewards
 from .model import (
+    IndexValues,
     ModelError,
     NonPositiveFee,
     PremiseViolated,
@@ -123,6 +128,12 @@ def _fail(axiom: str, index: Index, problem: StreamingProblem, detail: str,
                         {"problem": problem_to_dict(problem), **fields}, detail)
 
 
+def _score(values: IndexValues, artist: str) -> tuple[int, int]:
+    """``values[artist]`` as a numerator and a denominator, not always in lowest terms."""
+    d, numerators = values._integers
+    return numerators[values._locate(artist)], d
+
+
 # -- single-premise checks ----------------------------------------------
 
 def check_homogeneity(index: Index, problem: StreamingProblem,
@@ -138,13 +149,15 @@ def check_homogeneity(index: Index, problem: StreamingProblem,
         raise PremiseViolated("need two distinct artists")
     row = problem.streams[problem.artist_index(artist)]
     row2 = problem.streams[problem.artist_index(other)]
-    if any(c != factor * c2 for c, c2 in zip(row, row2)):
+    p, q = factor.numerator, factor.denominator
+    if any(c * q != p * c2 for c, c2 in zip(row, row2)):
         raise PremiseViolated(
             f"row of {artist!r} is not {factor} times the row of {other!r}")
     values = index(problem)
-    got, expected = values[artist], factor * values[other]
-    if got == expected:
+    (got, d), (base, _) = _score(values, artist), _score(values, other)
+    if got * q == p * base:
         return _pass(HOMOGENEITY, index)
+    got, expected = Fraction(got, d), factor * Fraction(base, d)
     return _fail(HOMOGENEITY, index, problem, f"score of {artist!r} is {got}, expected {expected}",
                  artist=artist, other=other, factor=str(factor), score=str(got),
                  expected=str(expected))
@@ -154,12 +167,14 @@ def check_additivity(index: Index, problem: StreamingProblem,
                      first_group: Sequence[str]) -> AxiomVerdict:
     """Splitting the users into two markets must split the scores additively."""
     part1, part2 = split_problem(problem, first_group)
+    (dw, wholes), (dl, lefts), (dr, rights) = (index(p)._integers
+                                               for p in (problem, part1, part2))
     # Both parts keep the problem's artists, so scores line up by position.
-    scores = zip(problem.artists, index(problem).scores,
-                 index(part1).scores, index(part2).scores)
-    for artist, whole, left, right in scores:
-        total = left + right
-        if whole != total:
+    # Compare whole/dw with left/dl + right/dr, both times dw * dl * dr.
+    sw, sl, sr = dl * dr, dw * dr, dw * dl
+    for artist, whole, left, right in zip(problem.artists, wholes, lefts, rights):
+        if whole * sw != left * sl + right * sr:
+            whole, total = Fraction(whole, dw), Fraction(left, dl) + Fraction(right, dr)
             return _fail(ADDITIVITY, index, problem,
                          f"score of {artist!r} is {whole}, parts sum to {total}",
                          first_group=sorted(part1.users), artist=artist, whole=str(whole),
@@ -181,10 +196,11 @@ def check_equal_individual_impact(index: Index, problem: StreamingProblem,
             != problem.streams[i][problem.user_index(other_user)]):
         raise PremiseViolated(
             f"users {user!r} and {other_user!r} stream {artist!r} unequally")
-    without_user = index(problem.remove_user(user))[artist]
-    without_other = index(problem.remove_user(other_user))[artist]
-    if without_user == without_other:
+    without_user, d = _score(index(problem.remove_user(user)), artist)
+    without_other, d2 = _score(index(problem.remove_user(other_user)), artist)
+    if without_user * d2 == without_other * d:
         return _pass(EQUAL_INDIVIDUAL_IMPACT, index)
+    without_user, without_other = Fraction(without_user, d), Fraction(without_other, d2)
     return _fail(EQUAL_INDIVIDUAL_IMPACT, index, problem,
                  f"removing {user!r} leaves {without_user}, "
                  f"removing {other_user!r} leaves {without_other}",
@@ -197,10 +213,13 @@ def check_equal_global_impact(index: Index, problem: StreamingProblem,
     """Removing any one user must shift the total score by the same amount."""
     if user == other_user:
         raise PremiseViolated("need two distinct users")
-    sum_without_user = index(problem.remove_user(user)).total
-    sum_without_other = index(problem.remove_user(other_user)).total
-    if sum_without_user == sum_without_other:
+    d, numerators = index(problem.remove_user(user))._integers
+    d2, numerators2 = index(problem.remove_user(other_user))._integers
+    sum_without_user, sum_without_other = sum(numerators), sum(numerators2)
+    if sum_without_user * d2 == sum_without_other * d:
         return _pass(EQUAL_GLOBAL_IMPACT, index)
+    sum_without_user = Fraction(sum_without_user, d)
+    sum_without_other = Fraction(sum_without_other, d2)
     return _fail(EQUAL_GLOBAL_IMPACT, index, problem,
                  f"total without {user!r} is {sum_without_user}, "
                  f"without {other_user!r} it is {sum_without_other}",
@@ -217,13 +236,15 @@ def check_reasonable_lower_bound(index: Index, problem: StreamingProblem,
     reached: set[str] = set()
     for user in users:
         reached |= problem.listened_set(user)
-    # Summing scores and scaling once gives the same exact amount as summing
-    # ``rewards`` over the reached artists, without building the allocation.
+    # The reached artists collect their share of the scores times the revenue,
+    # m * fee; the floor is |users| * fee, and the fee cancels.
     values = index(problem)
-    amount = sum(values[a] for a in reached) * problem.revenue / values.total
-    floor = len(users) * problem.fee
-    if amount >= floor:
+    numerators = values._integers[1]
+    share = sum(numerators[values._locate(a)] for a in reached)
+    total, m = sum(numerators), problem.user_count
+    if share * m >= len(users) * total:
         return _pass(REASONABLE_LOWER_BOUND, index)
+    amount, floor = Fraction(share * m, total) * problem.fee, len(users) * problem.fee
     return _fail(REASONABLE_LOWER_BOUND, index, problem,
                  f"artists reached by {users} collect {amount} < {floor}",
                  coalition=users, reached_amount=str(amount), floor=str(floor))
@@ -248,11 +269,17 @@ def check_click_fraud_proofness(index: Index, problem: StreamingProblem,
         if changed:
             raise PremiseViolated(
                 f"problems differ outside the column of user {user!r}")
-    before = rewards(problem, index(problem))
-    after = rewards(perturbed, index(perturbed))
-    for artist in problem.artists:
-        shift = abs(before[artist] - after[artist])
-        if shift > problem.fee:
+    before = index(problem)
+    _check_artists(problem, before)
+    after = index(perturbed)
+    _check_artists(perturbed, after)
+    # Artist i is paid m * fee * n_i / t before and m * fee * n2_i / t2 after,
+    # so it moves by more than the fee when m * |n_i * t2 - n2_i * t| > t * t2.
+    numerators, numerators2 = before._integers[1], after._integers[1]
+    t, t2, m = sum(numerators), sum(numerators2), problem.user_count
+    for artist, n, n2 in zip(problem.artists, numerators, numerators2):
+        if (moved := m * abs(n * t2 - n2 * t)) > t * t2:
+            shift = Fraction(moved, t * t2) * problem.fee
             return _fail(CLICK_FRAUD_PROOFNESS, index, problem,
                          f"payout of {artist!r} moves by {shift} > fee {problem.fee}",
                          perturbed=problem_to_dict(perturbed), user=user, artist=artist,
@@ -293,9 +320,9 @@ def _proportional_pairs(problem: StreamingProblem, rng: random.Random) -> Iterat
                 yield artist, other, Fraction(0)
             else:
                 pivot = next(j for j, c in enumerate(row2) if c)
-                lam = Fraction(row[pivot], row2[pivot])
-                if all(c == lam * c2 for c, c2 in zip(row, row2)):
-                    yield artist, other, lam
+                p, q = row[pivot], row2[pivot]
+                if all(c * q == p * c2 for c, c2 in zip(row, row2)):
+                    yield artist, other, Fraction(p, q)
 
 
 def _equal_count_pairs(problem: StreamingProblem, rng: random.Random) -> Iterator[tuple]:

@@ -230,13 +230,17 @@ def weighted_proportional(problem: MultiIssueClaims,
     """Give each issue a budget share and split it proportionally.
 
     Agent i receives, per issue j, their share of the issue's claims times
-    the issue's weight times the endowment.
+    the issue's weight times the endowment.  Only positive claims add a term.
     """
     totals = problem.issue_totals()
     weights = weight_function(totals, problem.endowment)
-    scales = tuple(w * problem.endowment / t for t, w in zip(totals, weights))
-    return tuple(_exact_sum(c * s for c, s in zip(row, scales) if c)
-                 for row in problem.claims)
+    terms = [[] for _ in problem.agents]
+    claims = problem.claims
+    for j, (support, total, weight) in enumerate(zip(problem._supports, totals, weights)):
+        scale = weight * problem.endowment / total
+        for i in support:
+            terms[i].append(claims[i][j] * scale)
+    return tuple(map(_exact_sum, terms))
 
 
 def _built_in(rule: BankruptcyRule) -> bool:

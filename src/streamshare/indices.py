@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .model import (Allocation, ArtistMismatch, IndexValues, ModelError, StreamingProblem,
-                    UnknownUser, _fractions, _over_common_denominator, _trusted, as_rational)
+                    UnknownUser, _over_common_denominator, _trusted, as_rational)
 
 
 class NonPositiveWeight(ModelError):
@@ -86,10 +86,9 @@ def _scores(artists: tuple[str, ...], numerators: list[int], common: int) -> Ind
 
     Every built-in kernel computes nonnegative integer numerators over one
     positive denominator, with at least one numerator positive, so the
-    entries and their exact total need no further checks.
+    entries need no further checks.  Their Fractions are made on first read.
     """
-    return _trusted(IndexValues, artists=artists, scores=_fractions(numerators, common),
-                    total=Fraction(sum(numerators), common))
+    return _trusted(IndexValues, artists=artists, _integers=(common, numerators))
 
 
 def weighted_index(problem: StreamingProblem, weights: WeightSystem) -> IndexValues:
@@ -164,14 +163,19 @@ def table_weight_system(table: Mapping[str, int | str | Fraction]) -> WeightSyst
     return system
 
 
+def _check_artists(problem: StreamingProblem, values: IndexValues) -> None:
+    """Raise ArtistMismatch unless ``values`` list the problem's artists, in order."""
+    if values.artists != problem.artists:
+        raise ArtistMismatch("index values computed for different artists")
+
+
 def rewards(problem: StreamingProblem, values: IndexValues) -> Allocation:
     """Divide the revenue in proportion to the index scores.
 
     The payout vector is ``revenue * score / total_score``, so it is
     invariant under scaling all scores by the same positive rational.
     """
-    if values.artists != problem.artists:
-        raise ArtistMismatch("index values computed for different artists")
+    _check_artists(problem, values)
     total = values.total
     if total <= 0:
         raise ZeroIndexSum("cannot divide revenue over an all-zero index")

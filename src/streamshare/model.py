@@ -412,9 +412,12 @@ class _ArtistValues:
     """Base of IndexValues and Allocation: one exact rational per artist.
 
     ``_field`` names the value field; ``_positive`` forbids an all-zero total.
-    The public constructor checks the entries once and stores ``total``;
-    :func:`_trusted` takes nonnegative Fractions, one per artist, and their
-    exact sum as ``total`` (positive for IndexValues) without checking them.
+    The public constructor checks the entries once and stores ``total`` and
+    the integer form ``_integers = (d, numerators)``, each entry being its
+    numerator over d.  :func:`_trusted` builds an Allocation from nonnegative
+    Fractions, one per artist, and their exact sum as ``total``, and an
+    IndexValues from ``_integers`` alone (see :class:`IndexValues`), without
+    checking them.
     """
 
     artists: tuple[str, ...]
@@ -431,6 +434,7 @@ class _ArtistValues:
             raise ModelError(f"{self._field} must be nonnegative")
         object.__setattr__(self, self._field, values)
         object.__setattr__(self, "total", Fraction(sum(numerators), d))
+        object.__setattr__(self, "_integers", (d, numerators))
         if self._positive and self.total <= 0:
             raise ModelError(f"{self._field} must not all be zero")
 
@@ -438,11 +442,15 @@ class _ArtistValues:
     def _position(self) -> dict[str, int]:
         return {a: i for i, a in enumerate(self.artists)}
 
-    def __getitem__(self, artist: str) -> Fraction:
+    def _locate(self, artist: str) -> int:
+        """The position of ``artist`` among these values' own artists."""
         try:
-            return getattr(self, self._field)[self._position[artist]]
+            return self._position[artist]
         except KeyError:
             raise UnknownArtist(artist) from None
+
+    def __getitem__(self, artist: str) -> Fraction:
+        return getattr(self, self._field)[self._locate(artist)]
 
     def as_dict(self) -> dict[str, Fraction]:
         return dict(zip(self.artists, getattr(self, self._field)))
@@ -455,11 +463,25 @@ class IndexValues(_ArtistValues):
     Scores are meaningful only up to positive scaling; :func:`indices.rewards`
     turns them into money.  The sum must be strictly positive so that the
     normalization is defined.
+
+    Values built by the indices hold only ``artists`` and ``_integers``;
+    ``scores`` and ``total`` are made from them on first read and then
+    stored, as a ``cached_property`` would.  The fairness checks compare
+    ``_integers`` and never build them.
     """
 
     scores: tuple[Fraction, ...]
     _field = "scores"
     _positive = True
+
+    def __getattr__(self, name: str):
+        # Only reached when ``name`` is not stored on the instance.
+        if name not in ("scores", "total"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        d, numerators = self._integers
+        value = _fractions(numerators, d) if name == "scores" else Fraction(sum(numerators), d)
+        vars(self)[name] = value
+        return value
 
     def scaled(self, factor: int | str | Fraction) -> "IndexValues":
         """The same scores multiplied by a positive rational factor."""

@@ -24,6 +24,7 @@ from streamshare import (
     IssueWeightFunction,
     ModelError,
     MultiIssueClaims,
+    PremiseViolated,
     StreamingProblem,
     SupermodularityResult,
     TooManyPlayers,
@@ -34,11 +35,18 @@ from streamshare import (
     new_problem,
 )
 from streamshare.axioms import (
+    ADDITIVITY,
     AXIOM_NAMES,
+    CLICK_FRAUD_PROOFNESS,
+    EQUAL_GLOBAL_IMPACT,
+    EQUAL_INDIVIDUAL_IMPACT,
+    HOMOGENEITY,
+    REASONABLE_LOWER_BOUND,
     AxiomVerdict,
     ProblemGenerator,
     Status,
     _PROPERTIES,
+    _fail,
     _pass,
     normalize_axiom,
     reference_problems,
@@ -50,7 +58,8 @@ from streamshare.game import (
     _pairs,
     listened_mask,
 )
-from streamshare.indices import Index
+from streamshare.indices import Index, rewards
+from streamshare.model import problem_to_dict, split_problem
 
 
 def two_user_problem(fee: int | Fraction = 1) -> StreamingProblem:
@@ -614,3 +623,153 @@ def reference_axiom_matrix(indices: Sequence[Index],
                                        instances=examined)
             matrix[(index.name, axiom)] = verdict
     return matrix
+
+
+# -- reference Fraction checks ------------------------------------------------
+
+# The six premise-bearing property checks and the proportional-pair premise as
+# they ran when every check read the scores as Fractions, added them and
+# compared the sums.  Kept unchanged as the reference for the differential
+# test of the checks that cross-multiply integer numerators.
+
+
+def reference_check_homogeneity(index: Index, problem: StreamingProblem,
+                                artist: str, other: str, factor) -> AxiomVerdict:
+    factor = as_rational(factor, "factor")
+    if factor < 0:
+        raise PremiseViolated("factor must be nonnegative")
+    if artist == other:
+        raise PremiseViolated("need two distinct artists")
+    row = problem.streams[problem.artist_index(artist)]
+    row2 = problem.streams[problem.artist_index(other)]
+    if any(c != factor * c2 for c, c2 in zip(row, row2)):
+        raise PremiseViolated(
+            f"row of {artist!r} is not {factor} times the row of {other!r}")
+    values = index(problem)
+    got, expected = values[artist], factor * values[other]
+    if got == expected:
+        return _pass(HOMOGENEITY, index)
+    return _fail(HOMOGENEITY, index, problem, f"score of {artist!r} is {got}, expected {expected}",
+                 artist=artist, other=other, factor=str(factor), score=str(got),
+                 expected=str(expected))
+
+
+def reference_check_additivity(index: Index, problem: StreamingProblem,
+                               first_group: Sequence[str]) -> AxiomVerdict:
+    part1, part2 = split_problem(problem, first_group)
+    scores = zip(problem.artists, index(problem).scores,
+                 index(part1).scores, index(part2).scores)
+    for artist, whole, left, right in scores:
+        total = left + right
+        if whole != total:
+            return _fail(ADDITIVITY, index, problem,
+                         f"score of {artist!r} is {whole}, parts sum to {total}",
+                         first_group=sorted(part1.users), artist=artist, whole=str(whole),
+                         parts_sum=str(total))
+    return _pass(ADDITIVITY, index)
+
+
+def reference_check_equal_individual_impact(index: Index, problem: StreamingProblem,
+                                            artist: str, user: str,
+                                            other_user: str) -> AxiomVerdict:
+    if user == other_user:
+        raise PremiseViolated("need two distinct users")
+    i = problem.artist_index(artist)
+    if (problem.streams[i][problem.user_index(user)]
+            != problem.streams[i][problem.user_index(other_user)]):
+        raise PremiseViolated(
+            f"users {user!r} and {other_user!r} stream {artist!r} unequally")
+    without_user = index(problem.remove_user(user))[artist]
+    without_other = index(problem.remove_user(other_user))[artist]
+    if without_user == without_other:
+        return _pass(EQUAL_INDIVIDUAL_IMPACT, index)
+    return _fail(EQUAL_INDIVIDUAL_IMPACT, index, problem,
+                 f"removing {user!r} leaves {without_user}, "
+                 f"removing {other_user!r} leaves {without_other}",
+                 artist=artist, user=user, other_user=other_user,
+                 without_user=str(without_user), without_other=str(without_other))
+
+
+def reference_check_equal_global_impact(index: Index, problem: StreamingProblem,
+                                        user: str, other_user: str) -> AxiomVerdict:
+    if user == other_user:
+        raise PremiseViolated("need two distinct users")
+    sum_without_user = index(problem.remove_user(user)).total
+    sum_without_other = index(problem.remove_user(other_user)).total
+    if sum_without_user == sum_without_other:
+        return _pass(EQUAL_GLOBAL_IMPACT, index)
+    return _fail(EQUAL_GLOBAL_IMPACT, index, problem,
+                 f"total without {user!r} is {sum_without_user}, "
+                 f"without {other_user!r} it is {sum_without_other}",
+                 user=user, other_user=other_user, sum_without_user=str(sum_without_user),
+                 sum_without_other=str(sum_without_other))
+
+
+def reference_check_reasonable_lower_bound(index: Index, problem: StreamingProblem,
+                                           coalition: Sequence[str]) -> AxiomVerdict:
+    users = sorted(dict.fromkeys(coalition))
+    if not users:
+        raise PremiseViolated("the user coalition must be nonempty")
+    reached: set[str] = set()
+    for user in users:
+        reached |= problem.listened_set(user)
+    values = index(problem)
+    amount = sum(values[a] for a in reached) * problem.revenue / values.total
+    floor = len(users) * problem.fee
+    if amount >= floor:
+        return _pass(REASONABLE_LOWER_BOUND, index)
+    return _fail(REASONABLE_LOWER_BOUND, index, problem,
+                 f"artists reached by {users} collect {amount} < {floor}",
+                 coalition=users, reached_amount=str(amount), floor=str(floor))
+
+
+def reference_check_click_fraud_proofness(index: Index, problem: StreamingProblem,
+                                          perturbed: StreamingProblem,
+                                          user: str) -> AxiomVerdict:
+    if (problem.artists != perturbed.artists or problem.users != perturbed.users
+            or problem.fee != perturbed.fee):
+        raise PremiseViolated("problems must share artists, users and fee")
+    j = problem.user_index(user)
+    for row, row2 in zip(problem.streams, perturbed.streams):
+        changed = [k for k in range(problem.user_count)
+                   if row[k] != row2[k] and k != j]
+        if changed:
+            raise PremiseViolated(
+                f"problems differ outside the column of user {user!r}")
+    before = rewards(problem, index(problem))
+    after = rewards(perturbed, index(perturbed))
+    for artist in problem.artists:
+        shift = abs(before[artist] - after[artist])
+        if shift > problem.fee:
+            return _fail(CLICK_FRAUD_PROOFNESS, index, problem,
+                         f"payout of {artist!r} moves by {shift} > fee {problem.fee}",
+                         perturbed=problem_to_dict(perturbed), user=user, artist=artist,
+                         difference=str(shift), bound=str(problem.fee))
+    return _pass(CLICK_FRAUD_PROOFNESS, index)
+
+
+def reference_proportional_pairs(problem: StreamingProblem, rng: random.Random):
+    for artist, row in zip(problem.artists, problem.streams):
+        for other, row2 in zip(problem.artists, problem.streams):
+            if artist == other:
+                continue
+            if not any(row2):
+                if not any(row):
+                    yield from ((artist, other, Fraction(k)) for k in (0, 1, 2))
+            elif not any(row):
+                yield artist, other, Fraction(0)
+            else:
+                pivot = next(j for j, c in enumerate(row2) if c)
+                lam = Fraction(row[pivot], row2[pivot])
+                if all(c == lam * c2 for c, c2 in zip(row, row2)):
+                    yield artist, other, lam
+
+
+REFERENCE_CHECKS = {
+    HOMOGENEITY: reference_check_homogeneity,
+    ADDITIVITY: reference_check_additivity,
+    EQUAL_INDIVIDUAL_IMPACT: reference_check_equal_individual_impact,
+    EQUAL_GLOBAL_IMPACT: reference_check_equal_global_impact,
+    REASONABLE_LOWER_BOUND: reference_check_reasonable_lower_bound,
+    CLICK_FRAUD_PROOFNESS: reference_check_click_fraud_proofness,
+}

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -11,6 +13,7 @@ from streamshare import (
     AXIOM_NAMES,
     EQUAL_SPLIT,
     Index,
+    IndexValues,
     InvalidPartition,
     ModelError,
     NonPositiveFee,
@@ -49,6 +52,8 @@ from streamshare.axioms import (
     EQUAL_INDIVIDUAL_IMPACT,
     HOMOGENEITY,
     REASONABLE_LOWER_BOUND,
+    _PROPERTIES,
+    _proportional_pairs,
     axiom_matrix,
     matrix_to_rows,
     normalize_axiom,
@@ -56,7 +61,12 @@ from streamshare.axioms import (
     verdict_to_dict,
 )
 
-from helpers import reference_axiom_matrix, reference_search_witness
+from helpers import (
+    REFERENCE_CHECKS,
+    reference_axiom_matrix,
+    reference_proportional_pairs,
+    reference_search_witness,
+)
 
 F = Fraction
 
@@ -518,3 +528,73 @@ def test_matrix_raises_an_index_error_from_a_generated_problem():
         axiom_matrix([PRO_RATA, flaky, USER_CENTRIC], None, gen, 100)
     with pytest.raises(ZeroIndexSum):
         reference_axiom_matrix([PRO_RATA, flaky, USER_CENTRIC], None, gen, 100)
+
+
+# -- integer checks against the Fraction checks --------------------------------------
+
+
+def _unreduced_user_centric(problem):
+    """User-centric scores times 7/3: ints, and 'p/q' strings and Fractions of unreduced pairs."""
+    scores = []
+    for k, score in enumerate(USER_CENTRIC(problem).scores):
+        score *= F(7, 3)
+        p, q = 2 * score.numerator, 2 * score.denominator
+        scores.append(score.numerator if q == 2 else f"{p}/{q}" if k % 2 else F(p, q))
+    return IndexValues(problem.artists, scores)
+
+
+def _reversed_padded_share(problem):
+    values = PADDED_SHARE(problem)
+    return IndexValues(values.artists[::-1], values.scores[::-1])
+
+
+def _first_artist_dropped(problem):
+    values = PRO_RATA(problem)
+    return IndexValues(values.artists[1:], values.scores[1:])
+
+
+CUSTOM_INDICES = [Index("unreduced", _unreduced_user_centric),
+                  Index("reversed", _reversed_padded_share),
+                  Index("dropped", _first_artist_dropped)]
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _premise_tuples(problem, seed):
+    """Every premise tuple of the six checks on ``problem``, and some that break a premise."""
+    rng = random.Random(seed)
+    pairs = list(_proportional_pairs(problem, rng))
+    assert pairs == list(reference_proportional_pairs(problem, rng))
+    yield from ((HOMOGENEITY, args) for args in pairs)
+    for artist, other in combinations(problem.artists, 2):
+        yield HOMOGENEITY, (artist, other, F(2))
+    for artist in problem.artists:
+        for user, other_user in combinations(problem.users, 2):
+            yield EQUAL_INDIVIDUAL_IMPACT, (artist, user, other_user)
+    for axiom in (ADDITIVITY, EQUAL_GLOBAL_IMPACT, REASONABLE_LOWER_BOUND,
+                  CLICK_FRAUD_PROOFNESS):
+        yield from ((axiom, args) for args in _PROPERTIES[axiom].premises(problem, rng))
+
+
+@pytest.mark.parametrize("fee", [F(1), F(7, 3), F(1, 2)])
+def test_integer_checks_match_the_fraction_checks(fee):
+    problems = ProblemGenerator(seed=13, max_artists=4, max_users=5, fee=fee).sample(34)
+    fixed = [case for case in reference_fraud_pairs() if case[0].fee == fee]
+    seen = set()
+    for k, problem in enumerate(problems + [p for p, *_ in fixed]):
+        cases = list(_premise_tuples(problem, k))
+        cases += [(CLICK_FRAUD_PROOFNESS, rest) for p, *rest in fixed if p is problem]
+        for index in CLI_INDICES + CUSTOM_INDICES:
+            memo = Index(index.name, functools.cache(index.compute))
+            for axiom, args in cases:
+                got = _outcome(_PROPERTIES[axiom].check, memo, problem, *args)
+                expected = _outcome(REFERENCE_CHECKS[axiom], memo, problem, *args)
+                assert got == expected, (index.name, axiom, problem, args)
+                seen.add("error" if isinstance(got, tuple) else got.status.value)
+    # Passes, failures and raised errors are all compared.
+    assert seen == {"pass", "fail", "error"}

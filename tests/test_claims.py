@@ -591,3 +591,28 @@ def test_streaming_two_stage_rule_coerces_per_issue_not_per_cell(monkeypatch):
     awards = two_stage_rule(streaming_to_claims(problem), "cea", "proportional")
     assert len(calls) <= problem.user_count + problem.artist_count
     assert awards == rewards(problem, USER_CENTRIC(problem)).amounts
+
+
+def test_weighted_proportional_adds_positive_claims_only(monkeypatch):
+    problem = sparse_problem_with_silent_artists(45, fee=F(7, 3))
+    trusted = streaming_to_claims(problem)
+    public = reference_streaming_to_claims(problem)
+    rng = random.Random(46)
+    fractional = fractional_multi_issue(rng, 12, 40, F(3, 4))
+    for mc in (trusted, public, fractional):
+        for weights in (issue_size_weights, equal_issue_weights):
+            assert weighted_proportional(mc, weights) == reference_weighted_proportional(
+                mc, weights)
+    calls = []
+    truth = Fraction.__bool__
+
+    def counting(self):
+        calls.append(self)
+        return truth(self)
+
+    monkeypatch.setattr(Fraction, "__bool__", counting)
+    for weights in (issue_size_weights, equal_issue_weights):
+        weighted_proportional(trusted, weights)
+        weighted_proportional(public, weights)
+    # About 12,000 claims each, almost all zero: none is tested one at a time.
+    assert len(calls) <= len(problem.users)

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import copy
+import functools
+import pickle
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -25,6 +29,7 @@ from streamshare import (
     ZeroIndexSum,
     banded_index,
     banded_weight_system,
+    check_additivity,
     index_from_weights,
     new_problem,
     rewards,
@@ -42,10 +47,12 @@ from helpers import (
     reference_user_centric_index,
     reference_weighted_index,
     sparse_problem_with_silent_artists,
+    three_user_problem,
 )
 
 F = Fraction
 
+KERNELS = (PRO_RATA, USER_CENTRIC, *REFERENCE_INDICES)
 
 # -- the two practical schemes ------------------------------------------
 
@@ -279,3 +286,47 @@ def test_index_wrapper_repr_and_call(two_user):
     assert isinstance(ix, Index)
     assert "ones" in repr(ix)
     assert ix(two_user).as_dict() == {"1": 10, "2": 90}
+
+
+# -- integer form of index values -------------------------------------------------
+
+
+def test_kernel_values_build_their_fractions_on_first_read():
+    for problem in ProblemGenerator(seed=25, fee=F(7, 3)).sample(30) + [three_user_problem()]:
+        for index in KERNELS:
+            expected = IndexValues(problem.artists, REFERENCE_KERNEL_SCORES[index.name](problem))
+            d, numerators = expected._integers
+            assert [F(n, d) for n in numerators] == list(expected.scores)
+            fresh = [index(problem) for _ in range(7)]
+            assert all(vars(v).keys() == {"artists", "_integers"} for v in fresh)
+            assert fresh[0] == expected and expected == fresh[1]
+            assert hash(fresh[2]) == hash(expected)
+            assert repr(fresh[3]) == repr(expected)
+            assert fresh[4].total == expected.total and "scores" not in vars(fresh[4])
+            assert fresh[5].as_dict() == expected.as_dict()
+            assert [fresh[6][a] for a in problem.artists] == list(expected.scores)
+            assert vars(fresh[0])["scores"] is fresh[0].scores  # built once, then kept
+            assert not hasattr(fresh[0], "amounts")
+
+
+def test_kernel_values_survive_pickle_copy_and_replace(three_user):
+    for index in KERNELS:
+        expected = IndexValues(three_user.artists, REFERENCE_KERNEL_SCORES[index.name](three_user))
+        for clone in (pickle.loads(pickle.dumps(index(three_user))),
+                      copy.copy(index(three_user)), copy.deepcopy(index(three_user))):
+            assert "scores" not in vars(clone)
+            assert clone == expected
+            assert rewards(three_user, clone) == rewards(three_user, expected)
+        values = index(three_user)
+        assert replace(values) == expected
+        assert replace(values, artists=("x", "y")) == IndexValues(("x", "y"), expected.scores)
+        assert pickle.loads(pickle.dumps(values)) == expected  # after the scores were read
+
+
+def test_passing_additivity_check_builds_no_fractions(three_user):
+    memo = Index("user-centric", functools.cache(USER_CENTRIC.compute))
+    assert check_additivity(memo, three_user, ["a", "b"]).passed
+    for problem in (three_user, three_user.select_users(["a", "b"]),
+                    three_user.select_users(["c"])):
+        values = memo(problem)
+        assert "scores" not in vars(values) and "total" not in vars(values)
