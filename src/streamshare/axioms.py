@@ -23,7 +23,7 @@ import string
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, combinations, groupby, islice
+from itertools import combinations, groupby, islice
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import game as game_mod
@@ -233,14 +233,14 @@ def check_reasonable_lower_bound(index: Index, problem: StreamingProblem,
     users = sorted(dict.fromkeys(coalition))
     if not users:
         raise PremiseViolated("the user coalition must be nonempty")
-    reached: set[str] = set()
-    for user in users:
-        reached |= problem.listened_set(user)
+    columns = [problem.user_index(user) for user in users]
     # The reached artists collect their share of the scores times the revenue,
     # m * fee; the floor is |users| * fee, and the fee cancels.
     values = index(problem)
     numerators = values._integers[1]
-    share = sum(numerators[values._locate(a)] for a in reached)
+    share = sum(numerators[values._locate(artist)]
+                for artist, row in zip(problem.artists, problem.streams)
+                if any(map(row.__getitem__, columns)))
     total, m = sum(numerators), problem.user_count
     if share * m >= len(users) * total:
         return _pass(REASONABLE_LOWER_BOUND, index)
@@ -531,57 +531,64 @@ def reference_problems() -> tuple[StreamingProblem, ...]:
 
 @dataclass
 class _Cell:
-    """One (index, property) search: its own rng, its counts and its verdict.
+    """One (index, property) check: its rng, its counts and its verdict.
 
-    ``examined`` counts the reference instances checked before the search,
-    ``searched`` and ``applicable`` the generated ones; ``verdict`` is set
-    at the first failure, which closes the cell.
+    ``instances`` counts every instance checked, reference ones included;
+    ``examined`` is how many came before the current run of instances, and
+    ``applicable`` how many of that run passed.  ``verdict`` is set at the
+    first failure, with ``note`` appended to its detail, and closes the cell.
     """
 
     index: Index
     axiom: str
-    rng: random.Random
+    rng: random.Random | None = None
+    note: str = ""
+    instances: int = 0
     examined: int = 0
-    searched: int = 0
     applicable: int = 0
     verdict: AxiomVerdict | None = None
 
-    @classmethod
-    def open(cls, index: Index, axiom: str, seed: int) -> "_Cell":
-        return cls(index, axiom, random.Random(f"{seed}:{index.name}:{axiom}"))
+    def start(self, seed: int, tag: str = "", note: str = "") -> "_Cell":
+        """Begin a run of instances drawing from the rng of (seed, index, axiom, tag)."""
+        self.rng = random.Random(f"{seed}:{self.index.name}:{self.axiom}{tag}")
+        self.note, self.examined, self.applicable = note, self.instances, 0
+        return self
 
-    def check(self, memo: Index, problem: StreamingProblem) -> None:
-        self.searched += 1
-        verdict = _evaluate(memo, self.axiom, problem, self.rng)
+    def record(self, verdict: AxiomVerdict) -> None:
+        self.instances += 1
         if verdict.failed:
-            self.verdict = replace(verdict, instances=self.examined + self.searched)
+            self.verdict = replace(verdict, instances=self.instances,
+                                   detail=verdict.detail + self.note)
         elif verdict.status is Status.PASS:
             self.applicable += 1
 
-    def searched_pass(self) -> AxiomVerdict:
-        return AxiomVerdict(self.axiom, self.index.name, Status.PASS, None,
-                            f"no violation in {self.searched} instances "
-                            f"({self.applicable} applicable)",
-                            instances=self.examined + self.searched)
+    def result(self) -> AxiomVerdict:
+        """The failing verdict, or a pass recording what the last run checked."""
+        if self.verdict is not None:
+            return self.verdict
+        searched = self.instances - self.examined
+        detail = (f"no violation in {self.examined} reference instances"
+                  if self.examined and not searched else
+                  f"no violation in {searched} instances ({self.applicable} applicable)")
+        return AxiomVerdict(self.axiom, self.index.name, Status.PASS, None, detail,
+                            instances=self.instances)
 
 
-def _search(cells: Sequence[_Cell], generator: ProblemGenerator, budget: int) -> None:
-    """Run the open cells on up to ``budget`` generated instances, drawing each once.
+def _run(cells: Sequence[_Cell], problems: Iterable[StreamingProblem]) -> None:
+    """Check the open cells on each problem in turn, drawing each once.
 
     The problem is the outer loop: every open cell sees it, in cell order,
-    with one memo per index, before the next problem is drawn.  No problem
-    is drawn once every cell is closed, and none is kept after its turn.
+    with one memo per index (consecutive cells of one index share it),
+    before the next problem is drawn.  No problem is drawn once every cell
+    is closed, and none is kept after its turn.
     """
-    drawn = islice(generator.problems(), budget)
+    problems = iter(problems)
     open_cells = [cell for cell in cells if cell.verdict is None]
-    while open_cells:
-        problem = next(drawn, None)
-        if problem is None:
-            return
+    while open_cells and (problem := next(problems, None)) is not None:
         for index, group in groupby(open_cells, key=lambda cell: cell.index):
             memo = _memo(index)
             for cell in group:
-                cell.check(memo, problem)
+                cell.record(_evaluate(memo, cell.axiom, problem, cell.rng))
         open_cells = [cell for cell in open_cells if cell.verdict is None]
 
 
@@ -592,9 +599,9 @@ def search_witness(index: Index, axiom: str, generator: ProblemGenerator,
     Returns the first failing verdict, or a pass verdict recording how many
     instances were applicable.  Deterministic in (seed, index, axiom).
     """
-    cell = _Cell.open(index, normalize_axiom(axiom), generator.seed)
-    _search([cell], generator, budget)
-    return cell.verdict or cell.searched_pass()
+    cell = _Cell(index, normalize_axiom(axiom)).start(generator.seed)
+    _run([cell], islice(generator.problems(), budget))
+    return cell.result()
 
 
 def axiom_matrix(indices: Sequence[Index],
@@ -604,43 +611,23 @@ def axiom_matrix(indices: Sequence[Index],
     """Check every (index, property) pair on goldens plus random search.
 
     The fixed reference instances run first, so well-known violations are
-    caught even at budget zero; the random search then takes over, drawing
-    each generated problem once for all the cells still open.  Keys of the
-    result are (index name, axiom name).
+    caught even at budget zero; the random search then takes over.  Both
+    go through one loop that draws each problem once for all the cells
+    still open.  Keys of the result are (index name, axiom name).
     """
     axioms = AXIOM_NAMES if axioms is None else tuple(normalize_axiom(a) for a in axioms)
     generator = generator if generator is not None else ProblemGenerator()
-    goldens = reference_problems()
-    cells = []
-    for index in indices:
-        for axiom in axioms:
-            prop = _PROPERTIES[axiom]
-            rng = random.Random(f"{generator.seed}:{index.name}:{axiom}:golden")
-            references = chain(
-                (evaluate_axiom(index, axiom, problem, rng) for problem in goldens),
-                (prop.check(index, *case) for case in prop.fixed()))
-            cell = _Cell.open(index, axiom, generator.seed)
-            for candidate in references:
-                cell.examined += 1
-                if candidate.failed:
-                    cell.verdict = replace(candidate, instances=cell.examined,
-                                           detail=candidate.detail + " (reference instance)")
-                    break
-            cells.append(cell)
-    if budget > 0:
-        _search(cells, generator, budget)
-    matrix: dict[tuple[str, str], AxiomVerdict] = {}
+    seed = generator.seed
+    cells = [_Cell(index, axiom).start(seed, ":golden", " (reference instance)")
+             for index in indices for axiom in axioms]
+    _run(cells, reference_problems())
     for cell in cells:
-        if cell.verdict is not None:
-            verdict = cell.verdict
-        elif budget > 0:
-            verdict = cell.searched_pass()
-        else:
-            verdict = AxiomVerdict(cell.axiom, cell.index.name, Status.PASS, None,
-                                   f"no violation in {cell.examined} reference instances",
-                                   instances=cell.examined)
-        matrix[(cell.index.name, cell.axiom)] = verdict
-    return matrix
+        prop = _PROPERTIES[cell.axiom]
+        for case in prop.fixed():
+            if cell.verdict is None:
+                cell.record(prop.check(cell.index, *case))
+    _run([cell.start(seed) for cell in cells], islice(generator.problems(), budget))
+    return {(cell.index.name, cell.axiom): cell.result() for cell in cells}
 
 
 def matrix_to_rows(matrix: Mapping[tuple[str, str], AxiomVerdict]) -> list[dict]:

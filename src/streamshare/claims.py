@@ -62,7 +62,7 @@ def proportional_rule(problem: BankruptcyProblem) -> tuple[Fraction, ...]:
         # The endowment is zero too (it never exceeds the claims).
         return (zero,) * len(problem.claims)
     ratio = problem.endowment / total
-    return tuple(c * ratio if c else zero for c in problem.claims)
+    return tuple(c * ratio for c in problem.claims)
 
 
 class CeaAwards(NamedTuple):
@@ -232,15 +232,8 @@ def weighted_proportional(problem: MultiIssueClaims,
     Agent i receives, per issue j, their share of the issue's claims times
     the issue's weight times the endowment.  Only positive claims add a term.
     """
-    totals = problem.issue_totals()
-    weights = weight_function(totals, problem.endowment)
-    terms = [[] for _ in problem.agents]
-    claims = problem.claims
-    for j, (support, total, weight) in enumerate(zip(problem._supports, totals, weights)):
-        scale = weight * problem.endowment / total
-        for i in support:
-            terms[i].append(claims[i][j] * scale)
-    return tuple(map(_exact_sum, terms))
+    weights = weight_function(problem.issue_totals(), problem.endowment)
+    return _split_issues(problem, proportional_rule, [w * problem.endowment for w in weights])
 
 
 def _built_in(rule: BankruptcyRule) -> bool:
@@ -272,6 +265,25 @@ def _stage(rule: BankruptcyRule, claimant: str, stage: str, claimants: tuple[str
     return awards
 
 
+def _split_issues(problem: MultiIssueClaims, rule: BankruptcyRule,
+                  issue_budgets: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """Ration each issue's budget among its claimants with the built-in ``rule``, unchecked.
+
+    A built-in rule awards nothing on a zero claim; the proportional rule
+    also scales claims by a budget above the issue's total.
+    """
+    agents, claims = problem.agents, problem.claims
+    terms = [[] for _ in agents]
+    for j, (issue, support, budget, total) in enumerate(
+            zip(problem.issues, problem._supports, issue_budgets, problem.issue_totals())):
+        awards = _stage(rule, "agent", f"agent stage, issue {issue!r}",
+                        tuple(agents[i] for i in support),
+                        tuple(claims[i][j] for i in support), budget, total)
+        for i, award in zip(support, awards):
+            terms[i].append(award)
+    return tuple(map(_exact_sum, terms))
+
+
 def two_stage_rule(problem: MultiIssueClaims,
                    issue_stage: Union[str, BankruptcyRule],
                    agent_stage: Union[str, BankruptcyRule]) -> tuple[Fraction, ...]:
@@ -291,26 +303,17 @@ def two_stage_rule(problem: MultiIssueClaims,
     totals = problem.issue_totals()
     issue_budgets = _stage(psi, "issue", "issue stage",
                            problem.issues, totals, problem.endowment, problem._total)
-    terms = [[] for _ in problem.agents]
     if _built_in(psi) and _built_in(phi):
-        # A built-in issue stage keeps every budget within its issue's total, and
-        # a built-in rule awards nothing on a zero claim: ration among the claimants.
-        agents, claims = problem.agents, problem.claims
-        for j, (issue, support, budget, total) in enumerate(
-                zip(problem.issues, problem._supports, issue_budgets, totals)):
-            awards = _stage(phi, "agent", f"agent stage, issue {issue!r}",
-                            tuple(agents[i] for i in support),
-                            tuple(claims[i][j] for i in support), budget, total)
-            for i, award in zip(support, awards):
-                terms[i].append(award)
-    else:
-        for issue, column, budget in zip(problem.issues, zip(*problem.claims), issue_budgets):
-            column_awards = _stage(phi, "agent", f"agent stage, issue {issue!r}",
-                                   problem.agents, column, budget)
-            for agent_terms, award in zip(terms, column_awards):
-                if award:
-                    agent_terms.append(award)
-    return tuple(_exact_sum(agent_terms) for agent_terms in terms)
+        # A built-in issue stage keeps every budget within its issue's total.
+        return _split_issues(problem, phi, issue_budgets)
+    terms = [[] for _ in problem.agents]
+    for issue, column, budget in zip(problem.issues, zip(*problem.claims), issue_budgets):
+        column_awards = _stage(phi, "agent", f"agent stage, issue {issue!r}",
+                               problem.agents, column, budget)
+        for agent_terms, award in zip(terms, column_awards):
+            if award:
+                agent_terms.append(award)
+    return tuple(map(_exact_sum, terms))
 
 
 def streaming_to_claims(problem: StreamingProblem) -> MultiIssueClaims:

@@ -12,8 +12,9 @@ are implemented along completely different routes (exhaustive coalition
 enumeration versus a max-flow feasibility test) they double-check each
 other; any disagreement is a bug, never a judgment call.
 
-Coalition values, dividend mappings and list-form allocations pass through
-:func:`model.as_rational`, so an inexact number among them raises TypeError.
+Coalition values, dividends, decomposition shares and list-form allocations
+pass through :func:`model.as_rational`, so an inexact number among them
+raises TypeError.
 
 Every 2**n table (worths, dividends, running coalition payouts) is computed
 on Python integers over one common denominator, and the Fractions are built
@@ -266,7 +267,7 @@ def reconstruct_from_dividends(
     """Rebuild the worth table from dividends.  Inverse of harsanyi_dividends."""
     if isinstance(dividends, DividendTable):
         players = dividends.players
-        values = dividends.dividends
+        values = [as_rational(value, "dividend") for value in dividends.dividends]
     else:
         if players is None:
             raise ModelError("players required when dividends come as a mapping")
@@ -352,8 +353,9 @@ class CoreDecomposition:
         # A user pays only the artists they streamed, so most shares are zero
         # and only the nonzero ones are summed.
         columns = zip(*self.shares) if self.shares else [()] * len(self.artists)
-        return Allocation(self.artists, tuple(_exact_sum(filter(None, column))
-                                              for column in columns))
+        return Allocation(self.artists, tuple(
+            _exact_sum(filter(None, [as_rational(x, "share") for x in column]))
+            for column in columns))
 
     def validate(self, problem: StreamingProblem) -> None:
         """Raise if any decomposition invariant fails against the problem."""

@@ -184,8 +184,10 @@ def _trusted(cls: type, **fields):
 def decimal_display(value: Fraction, places: int) -> str:
     """Render ``value`` with ``places`` decimals, rounding halves away from zero.
 
-    Pure integer arithmetic, so ties like 1.875 -> 1.9 are exact.
+    Pure integer arithmetic, so ties like 1.875 -> 1.9 are exact.  An
+    inexact ``value`` raises TypeError.
     """
+    value = as_rational(value)
     if places < 0:
         raise ModelError("places must be nonnegative")
     sign = "-" if value < 0 else ""

@@ -530,6 +530,33 @@ def test_matrix_raises_an_index_error_from_a_generated_problem():
         reference_axiom_matrix([PRO_RATA, flaky, USER_CENTRIC], None, gen, 100)
 
 
+def test_matrix_scores_each_problem_once_per_reference_problem(monkeypatch):
+    current = [None]
+    scored = []
+
+    class Announced(tuple):
+        """Reference problems that note which one is being checked as they are iterated."""
+
+        def __iter__(self):
+            for problem in tuple.__iter__(self):
+                current[0] = problem
+                yield problem
+            current[0] = None
+
+    def counted(problem):
+        scored.append((current[0], problem))
+        return USER_CENTRIC(problem)
+
+    goldens = reference_problems()
+    monkeypatch.setattr("streamshare.axioms.reference_problems", lambda: Announced(goldens))
+    matrix = axiom_matrix([Index("counted", counted)], None, ProblemGenerator(seed=0), 0)
+    assert matrix == axiom_matrix([Index("counted", USER_CENTRIC)], None,
+                                  ProblemGenerator(seed=0), 0)
+    # Every property checks each reference problem and its sub-problems on one memo.
+    assert {golden for golden, _ in scored} >= set(goldens)
+    assert len(scored) == len(set(scored))
+
+
 # -- integer checks against the Fraction checks --------------------------------------
 
 

@@ -565,6 +565,17 @@ def test_every_boundary_rejects_inexact_numbers(value):
             construct(value)
 
 
+@settings(max_examples=60, deadline=None)
+@given(INEXACT)
+def test_dividend_tables_decompositions_and_displays_reject_inexact_numbers(value):
+    for construct in (
+            lambda: game.reconstruct_from_dividends(game.DividendTable(("a",), (0, value))),
+            lambda: game.CoreDecomposition(("x",), ("a",), ((value,),), 1).allocation(),
+            lambda: decimal_display(value, 2)):
+        with pytest.raises(TypeError):
+            construct()
+
+
 def test_every_exported_exception_is_a_model_error():
     exported = [obj for obj in vars(streamshare).values()
                 if isinstance(obj, type) and issubclass(obj, BaseException)]
