@@ -17,22 +17,22 @@ pass through :func:`model.as_rational`, so an inexact number among them
 raises TypeError.
 
 Every 2**n table (worths, dividends, running coalition payouts) is computed
-on Python integers over one common denominator, and the Fractions are built
-once, at the end.  Scaling by a positive constant changes no comparison, so
-verdicts, witnesses and values are exactly those of Fraction arithmetic.
+on Python integers over one common denominator, and games and dividend
+tables built here store only those, making their Fractions on first read.
+Scaling by a positive constant changes no comparison, so verdicts,
+witnesses and values are exactly those of Fraction arithmetic.
 """
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import compress, count
 from typing import Iterable, Mapping, Sequence
 
 from .model import (Allocation, DimensionMismatch, DuplicateIdentifier, FeeMismatch, ModelError,
                     NotInCore, StreamingProblem, TooManyPlayers, UnknownArtist, _exact_sum,
-                    _fractions, _over_common_denominator, _trusted, as_rational)
+                    _ExactTable, _over_common_denominator, _trusted, as_rational)
 
 MAX_ENUMERABLE_PLAYERS = 20
 
@@ -57,15 +57,10 @@ def _members(players: tuple[str, ...], mask: int) -> tuple[str, ...]:
 
 
 @dataclass(frozen=True)
-class CoalitionalGame:
-    """A transferable-utility game over at most 20 players.
-
-    Coalitions are bitmasks over the player tuple; ``values[mask]`` is the
-    coalition's worth.  The empty coalition is worth zero.
-    """
+class _CoalitionTable(_ExactTable):
+    """Base of CoalitionalGame and DividendTable: one exact entry per coalition bitmask."""
 
     players: tuple[str, ...]
-    values: tuple[Fraction, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "players", tuple(self.players))
@@ -75,13 +70,23 @@ class CoalitionalGame:
         _check_cap(n, "players")
         if len(set(self.players)) != n:
             raise DuplicateIdentifier("duplicate player identifier")
-        values = tuple(self.values)
+        values = tuple(getattr(self, self._field))
         if len(values) != 1 << n:
-            raise DimensionMismatch(f"need {1 << n} coalition values, got {len(values)}")
-        object.__setattr__(self, "values", tuple(as_rational(v, "coalition value")
-                                                 for v in values))
-        if self.values[0] != 0:
+            raise DimensionMismatch(f"need {1 << n} {self._what}s, got {len(values)}")
+        if self._store(values, self._what)[1][0]:
             raise ModelError("the empty coalition must be worth zero")
+
+
+@dataclass(frozen=True)
+class CoalitionalGame(_CoalitionTable):
+    """A transferable-utility game over at most 20 players.
+
+    Coalitions are bitmasks over the player tuple; ``values[mask]`` is the
+    coalition's worth.  The empty coalition is worth zero.
+    """
+
+    values: tuple[Fraction, ...]
+    _field, _what = "values", "coalition value"
 
     @property
     def player_count(self) -> int:
@@ -104,11 +109,6 @@ class CoalitionalGame:
     @property
     def grand_value(self) -> Fraction:
         return self.values[-1]
-
-    @cached_property
-    def _integers(self) -> tuple[int, list[int]]:
-        """``(d, worths)`` with ``values[mask] == worths[mask] / d``; d need not be the least."""
-        return _over_common_denominator(self.values)
 
 
 def listened_mask(problem: StreamingProblem, user: str) -> int:
@@ -164,10 +164,8 @@ def streaming_game(problem: StreamingProblem) -> CoalitionalGame:
         counts[sum(compress(bits, column))] += 1
     _subset_sums(counts, n)
     fee = problem.fee
-    worths = [c * fee.numerator for c in counts]
     return _trusted(CoalitionalGame, players=problem.artists,
-                    values=_fractions(worths, fee.denominator),
-                    _integers=(fee.denominator, worths))
+                    _integers=(fee.denominator, [c * fee.numerator for c in counts]))
 
 
 @dataclass(frozen=True)
@@ -234,7 +232,7 @@ def _first_violation(v: Sequence[int], n: int) -> tuple[int, int, int]:
 
 
 @dataclass(frozen=True)
-class DividendTable:
+class DividendTable(_CoalitionTable):
     """Per-coalition dividends: the game rewritten in the unanimity basis.
 
     ``dividends[mask]`` is the coefficient of the unanimity game on that
@@ -242,14 +240,15 @@ class DividendTable:
     its worth exactly.
     """
 
-    players: tuple[str, ...]
     dividends: tuple[Fraction, ...]
+    _field, _what = "dividends", "dividend"
 
     def of(self, mask: int) -> Fraction:
         return self.dividends[mask]
 
     def nonzero(self) -> list[tuple[int, Fraction]]:
-        return [(mask, d) for mask, d in enumerate(self.dividends) if d != 0]
+        d, numerators = self._integers
+        return [(mask, Fraction(t, d)) for mask, t in enumerate(numerators) if t]
 
 
 def harsanyi_dividends(game: CoalitionalGame) -> DividendTable:
@@ -257,7 +256,7 @@ def harsanyi_dividends(game: CoalitionalGame) -> DividendTable:
     d, worths = game._integers
     table = list(worths)
     _subset_sums(table, game.player_count, operator.sub)
-    return DividendTable(game.players, _fractions(table, d))
+    return _trusted(DividendTable, players=game.players, _integers=(d, table))
 
 
 def reconstruct_from_dividends(
@@ -265,10 +264,7 @@ def reconstruct_from_dividends(
     players: Sequence[str] | None = None,
 ) -> CoalitionalGame:
     """Rebuild the worth table from dividends.  Inverse of harsanyi_dividends."""
-    if isinstance(dividends, DividendTable):
-        players = dividends.players
-        values = [as_rational(value, "dividend") for value in dividends.dividends]
-    else:
+    if not isinstance(dividends, DividendTable):
         if players is None:
             raise ModelError("players required when dividends come as a mapping")
         _check_cap(len(players), "players")
@@ -277,10 +273,12 @@ def reconstruct_from_dividends(
             if type(mask) is not int or not 0 <= mask < len(values):
                 raise DimensionMismatch(
                     f"dividend key {mask!r} is not a coalition mask in range({len(values)})")
-            values[mask] = as_rational(value, "dividend")
-    d, table = _over_common_denominator(values)
-    _subset_sums(table, len(players))
-    return CoalitionalGame(tuple(players), _fractions(table, d))
+            values[mask] = value
+        dividends = DividendTable(players, values)
+    d, table = dividends._integers
+    table = list(table)
+    _subset_sums(table, len(dividends.players))
+    return _trusted(CoalitionalGame, players=dividends.players, _integers=(d, table))
 
 
 @dataclass(frozen=True)
@@ -341,7 +339,8 @@ class CoreDecomposition:
 
     ``shares[j][i]`` is what user j's fee contributes to artist i.  Each
     user's row is nonnegative, sums to the fee, and is supported on the
-    artists that user streamed.
+    artists that user streamed; :meth:`validate` checks that against a
+    problem.  The public constructor coerces every share and the fee.
     """
 
     artists: tuple[str, ...]
@@ -349,13 +348,17 @@ class CoreDecomposition:
     shares: tuple[tuple[Fraction, ...], ...]
     fee: Fraction
 
+    def __post_init__(self):
+        object.__setattr__(self, "shares", tuple(tuple(as_rational(x, "share") for x in row)
+                                                 for row in self.shares))
+        object.__setattr__(self, "fee", as_rational(self.fee, "fee"))
+
     def allocation(self) -> Allocation:
         # A user pays only the artists they streamed, so most shares are zero
         # and only the nonzero ones are summed.
         columns = zip(*self.shares) if self.shares else [()] * len(self.artists)
-        return Allocation(self.artists, tuple(
-            _exact_sum(filter(None, [as_rational(x, "share") for x in column]))
-            for column in columns))
+        return Allocation(self.artists, tuple(_exact_sum(filter(None, column))
+                                              for column in columns))
 
     def validate(self, problem: StreamingProblem) -> None:
         """Raise if any decomposition invariant fails against the problem."""
@@ -525,8 +528,8 @@ def in_core_flow(problem: StreamingProblem,
         for i, idx in arcs:
             row[i] = Fraction(net.flow_through(idx), scale)
         shares.append(tuple(row))
-    decomposition = CoreDecomposition(
-        problem.artists, problem.users, tuple(shares), problem.fee)
+    decomposition = _trusted(CoreDecomposition, artists=problem.artists, users=problem.users,
+                             shares=tuple(shares), fee=problem.fee)
     return FlowCoreResult(True, decomposition)
 
 

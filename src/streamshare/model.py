@@ -409,36 +409,58 @@ def split_problem(
     return problem._columns(first), problem._columns(rest)
 
 
+class _ExactTable:
+    """Base of the exact tables: the Fractions of field ``_field``, stored as integers.
+
+    ``_integers = (d, numerators)`` holds entry k as ``numerators[k] / d``.
+    Public constructors coerce every entry once, in :meth:`_store`.  A value
+    built by :func:`_trusted` may hold only ``_integers``; its Fractions are
+    made on first read and then kept, as a ``cached_property`` would.
+    """
+
+    _field: ClassVar[str]
+
+    def _store(self, values: Iterable, what: str) -> tuple[int, list[int]]:
+        values = tuple(as_rational(v, what) for v in values)
+        integers = _over_common_denominator(values)
+        object.__setattr__(self, self._field, values)
+        object.__setattr__(self, "_integers", integers)
+        return integers
+
+    def __getattr__(self, name: str):
+        # Only reached when ``name`` is not stored on the instance.
+        if name != self._field:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        d, numerators = self._integers
+        value = vars(self)[name] = _fractions(numerators, d)
+        return value
+
+
 @dataclass(frozen=True)
-class _ArtistValues:
+class _ArtistValues(_ExactTable):
     """Base of IndexValues and Allocation: one exact rational per artist.
 
-    ``_field`` names the value field; ``_positive`` forbids an all-zero total.
-    The public constructor checks the entries once and stores ``total`` and
-    the integer form ``_integers = (d, numerators)``, each entry being its
-    numerator over d.  :func:`_trusted` builds an Allocation from nonnegative
-    Fractions, one per artist, and their exact sum as ``total``, and an
-    IndexValues from ``_integers`` alone (see :class:`IndexValues`), without
-    checking them.
+    ``_positive`` forbids an all-zero total.  :func:`_trusted` builds an
+    Allocation from nonnegative Fractions and their sum as ``total``, and an
+    IndexValues from ``_integers`` alone.
     """
 
     artists: tuple[str, ...]
-    _field: ClassVar[str]
     _positive: ClassVar[bool] = False
 
     def __post_init__(self):
         object.__setattr__(self, "artists", tuple(self.artists))
-        values = tuple(as_rational(v, self._field) for v in getattr(self, self._field))
-        if len(self.artists) != len(values):
+        numerators = self._store(getattr(self, self._field), self._field)[1]
+        if len(self.artists) != len(numerators):
             raise DimensionMismatch(f"one entry of {self._field} per artist required")
-        d, numerators = _over_common_denominator(values)
         if any(n < 0 for n in numerators):
             raise ModelError(f"{self._field} must be nonnegative")
-        object.__setattr__(self, self._field, values)
-        object.__setattr__(self, "total", Fraction(sum(numerators), d))
-        object.__setattr__(self, "_integers", (d, numerators))
-        if self._positive and self.total <= 0:
+        if self._positive and not any(numerators):
             raise ModelError(f"{self._field} must not all be zero")
+
+    @cached_property
+    def total(self) -> Fraction:
+        return Fraction(sum(self._integers[1]), self._integers[0])
 
     @cached_property
     def _position(self) -> dict[str, int]:
@@ -466,24 +488,13 @@ class IndexValues(_ArtistValues):
     turns them into money.  The sum must be strictly positive so that the
     normalization is defined.
 
-    Values built by the indices hold only ``artists`` and ``_integers``;
-    ``scores`` and ``total`` are made from them on first read and then
-    stored, as a ``cached_property`` would.  The fairness checks compare
-    ``_integers`` and never build them.
+    Values built by the indices hold only ``artists`` and ``_integers``; the
+    fairness checks never build ``scores`` or ``total``.
     """
 
     scores: tuple[Fraction, ...]
     _field = "scores"
     _positive = True
-
-    def __getattr__(self, name: str):
-        # Only reached when ``name`` is not stored on the instance.
-        if name not in ("scores", "total"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        d, numerators = self._integers
-        value = _fractions(numerators, d) if name == "scores" else Fraction(sum(numerators), d)
-        vars(self)[name] = value
-        return value
 
     def scaled(self, factor: int | str | Fraction) -> "IndexValues":
         """The same scores multiplied by a positive rational factor."""

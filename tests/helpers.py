@@ -417,6 +417,21 @@ def reference_reconstruct_from_dividends(
     return CoalitionalGame(tuple(players), tuple(table))
 
 
+def shapley_from_dividends(table: DividendTable) -> tuple[Fraction, ...]:
+    """The Shapley value: each dividend split equally among its coalition's members.
+
+    Shapley (1953) in Harsanyi's (1963) form; a test-only cross-check of the
+    game layer, since the equal-split index pays exactly this.
+    """
+    n = len(table.players)
+    values = [Fraction(0)] * n
+    for mask, dividend in table.nonzero():
+        members = [i for i in range(n) if mask >> i & 1]
+        for i in members:
+            values[i] += dividend / len(members)
+    return tuple(values)
+
+
 def reference_in_core_direct(game: CoalitionalGame,
                              allocation: Allocation | Sequence[Fraction]) -> DirectCoreResult:
     amounts = _amounts(allocation, game.player_count)

@@ -1,19 +1,26 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import re
 import sys
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamshare import (
     Allocation,
     CoalitionalGame,
     CoreDecomposition,
     DimensionMismatch,
+    DividendTable,
+    EQUAL_SPLIT,
     ModelError,
     NotInCore,
     PRO_RATA,
@@ -54,6 +61,8 @@ from helpers import (
     reference_local_is_supermodular,
     reference_reconstruct_from_dividends,
     reference_streaming_game,
+    shapley_from_dividends,
+    three_user_problem,
 )
 
 F = Fraction
@@ -743,3 +752,108 @@ def test_decomposition_to_dict(two_user):
     payload = decomposition_to_dict(result.decomposition)
     assert payload["shares"]["a"] == ["1", "0"]
     assert payload["shares"]["b"] == ["0", "1"]
+
+
+# -- exact tables: construction gates and Fractions made on first read -------------
+
+INEXACT_ENTRIES = st.one_of(st.floats(), st.just(float("nan")), st.booleans(), st.decimals())
+
+# Each row puts the inexact value where the public constructor must coerce it.
+INEXACT_GATES = {
+    "dividend": lambda v: DividendTable(("a",), (0, v)),
+    "dividend of a pair": lambda v: DividendTable(("a", "b"), (0, 1, v, F(1, 2))),
+    "share": lambda v: CoreDecomposition(("x", "y"), ("a",), ((v, F(1, 2)),), 1),
+    "fee": lambda v: CoreDecomposition(("x", "y"), ("a",), ((F(1, 2), F(1, 2)),), v),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(INEXACT_ENTRIES)
+@pytest.mark.parametrize("gate", sorted(INEXACT_GATES))
+def test_dividend_tables_and_decompositions_reject_inexact_numbers_when_built(gate, value):
+    with pytest.raises(TypeError):
+        INEXACT_GATES[gate](value)
+
+
+class Unreadable:
+    """Entries that fail the test if the constructor reads them."""
+
+    def __iter__(self):
+        raise AssertionError("an entry was read before the players were checked")
+
+
+# Each row is a malformed (players, entries) pair that CoalitionalGame refuses.
+MALFORMED_TABLES = {
+    "wrong length": (("a", "b"), (0, 1, 2)),
+    "no players": ((), (0,)),
+    "duplicate players": (("a", "a"), (0, 1, 1, 2)),
+    "21 players": (tuple(f"p{i}" for i in range(21)), Unreadable()),
+    "nonzero empty entry": (("a",), (F(1, 3), 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TABLES))
+def test_dividend_tables_are_checked_like_games_when_built(case):
+    players, entries = MALFORMED_TABLES[case]
+    with pytest.raises(ModelError) as game_error:
+        CoalitionalGame(players, entries)
+    with pytest.raises(ModelError) as table_error:
+        DividendTable(players, entries)
+    assert type(table_error.value) is type(game_error.value)
+    if case != "wrong length":
+        assert str(table_error.value) == str(game_error.value)
+
+
+def lazy_tables(problem):
+    """Each exact table the game layer builds, with its public twin and its field."""
+    expected = reference_streaming_game(problem)
+    return [
+        (lambda: streaming_game(problem), expected, "values"),
+        (lambda: harsanyi_dividends(streaming_game(problem)),
+         reference_harsanyi_dividends(expected), "dividends"),
+        (lambda: reconstruct_from_dividends(harsanyi_dividends(streaming_game(problem))),
+         expected, "values"),
+    ]
+
+
+def test_game_tables_build_their_fractions_on_first_read():
+    rng = random.Random(27)
+    for problem in ProblemGenerator(seed=26, fee=F(7, 3)).sample(30) + [three_user_problem()]:
+        allocations = [rewards(problem, USER_CENTRIC(problem)), perturbed_allocation(problem, rng)]
+        for build, expected, field in lazy_tables(problem):
+            fresh = [build() for _ in range(6)]
+            for table in fresh:
+                if field == "values":
+                    assert is_supermodular(table) == is_supermodular(expected)
+                    for amounts in allocations:
+                        assert in_core_direct(table, amounts) == in_core_direct(expected, amounts)
+                else:
+                    assert table.nonzero() == expected.nonzero()
+                    assert dividends_to_dict(table) == dividends_to_dict(expected)
+            assert all(vars(t).keys() == {"players", "_integers"} for t in fresh)
+            assert fresh[0] == expected and expected == fresh[1]
+            assert hash(fresh[2]) == hash(expected)
+            assert repr(fresh[3]) == repr(expected)
+            made = getattr(fresh[4], field)
+            assert all(type(x) is Fraction for x in made) and made == getattr(expected, field)
+            assert vars(fresh[4])[field] is made  # built once, then kept
+            assert not hasattr(fresh[5], "scores") and not hasattr(fresh[5], "total")
+
+
+def test_game_tables_survive_pickle_copy_and_replace(three_user):
+    for build, expected, field in lazy_tables(three_user):
+        for clone in (pickle.loads(pickle.dumps(build())), copy.copy(build()),
+                      copy.deepcopy(build())):
+            assert vars(clone).keys() == {"players", "_integers"}
+            assert clone == expected and hash(clone) == hash(expected)
+        table = build()
+        assert replace(table) == expected
+        renamed = replace(table, players=("x", "y"))
+        assert renamed == type(expected)(("x", "y"), getattr(expected, field))
+        assert pickle.loads(pickle.dumps(table)) == expected  # after the field was read
+
+
+def test_shapley_value_of_the_streaming_game_is_the_equal_split_payout():
+    for problem in ProblemGenerator(seed=4).sample(200):
+        shapley = shapley_from_dividends(harsanyi_dividends(streaming_game(problem)))
+        assert shapley == rewards(problem, EQUAL_SPLIT(problem)).amounts
