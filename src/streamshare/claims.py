@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, count
+from itertools import chain, compress, count, repeat
 from typing import Callable, NamedTuple, Sequence, Union
 
 from .model import (InvalidProblem, StreamingProblem, WeightContractViolated, _exact_sum,
@@ -189,8 +189,8 @@ class IssueWeightFunction:
     """Allots a probability weight to each issue.
 
     ``weights(issue_totals, endowment)`` must return one weight per issue,
-    each an exact rational in [0, 1], summing to exactly 1.  The result is
-    validated on every call and any violation raises WeightContractViolated.
+    each an exact rational in [0, 1], summing to exactly 1.  Inexact inputs are
+    refused, and any violation of that contract raises WeightContractViolated.
     """
 
     name: str
@@ -198,11 +198,12 @@ class IssueWeightFunction:
 
     def __call__(self, issue_totals: tuple[Fraction, ...],
                  endowment: Fraction) -> tuple[Fraction, ...]:
+        totals = _rational_tuple(issue_totals, "issue totals")
         out = tuple(as_rational(w, f"weight from {self.name!r}", WeightContractViolated)
-                    for w in self.weights(issue_totals, endowment))
-        if len(out) != len(issue_totals):
+                    for w in self.weights(totals, as_rational(endowment, "endowment")))
+        if len(out) != len(totals):
             raise WeightContractViolated(
-                f"{self.name!r} produced {len(out)} weights for {len(issue_totals)} issues")
+                f"{self.name!r} produced {len(out)} weights for {len(totals)} issues")
         if any(w < 0 or w > 1 for w in out):
             raise WeightContractViolated(f"{self.name!r} produced a weight outside [0, 1]")
         total = _exact_sum(out)
@@ -233,7 +234,8 @@ def weighted_proportional(problem: MultiIssueClaims,
     the issue's weight times the endowment.  Only positive claims add a term.
     """
     weights = weight_function(problem.issue_totals(), problem.endowment)
-    return _split_issues(problem, proportional_rule, [w * problem.endowment for w in weights])
+    return _split_issues(problem, proportional_rule, [w * problem.endowment for w in weights],
+                         trusted=True)
 
 
 def _built_in(rule: BankruptcyRule) -> bool:
@@ -266,16 +268,18 @@ def _stage(rule: BankruptcyRule, claimant: str, stage: str, claimants: tuple[str
 
 
 def _split_issues(problem: MultiIssueClaims, rule: BankruptcyRule,
-                  issue_budgets: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Ration each issue's budget among its claimants with the built-in ``rule``, unchecked.
+                  budgets: Sequence[Fraction], trusted: bool) -> tuple[Fraction, ...]:
+    """Ration each issue's budget among its agents with ``rule``: the one loop over issues.
 
-    A built-in rule awards nothing on a zero claim; the proportional rule
-    also scales claims by a budget above the issue's total.
+    A built-in rule sees only the positive claims and runs unchecked on ``trusted`` budgets,
+    which cea needs within each issue's total.  A callable rule sees every agent, checked.
     """
     agents, claims = problem.agents, problem.claims
+    supports = problem._supports if _built_in(rule) else repeat(range(len(agents)))
+    totals = problem.issue_totals() if trusted else repeat(None)
     terms = [[] for _ in agents]
     for j, (issue, support, budget, total) in enumerate(
-            zip(problem.issues, problem._supports, issue_budgets, problem.issue_totals())):
+            zip(problem.issues, supports, budgets, totals)):
         awards = _stage(rule, "agent", f"agent stage, issue {issue!r}",
                         tuple(agents[i] for i in support),
                         tuple(claims[i][j] for i in support), budget, total)
@@ -298,22 +302,11 @@ def two_stage_rule(problem: MultiIssueClaims,
     built-in rules keep the contract and run unchecked, except for an agent
     stage after a callable issue stage, which may overspend an issue.
     """
-    psi = resolve_rule(issue_stage)
-    phi = resolve_rule(agent_stage)
-    totals = problem.issue_totals()
-    issue_budgets = _stage(psi, "issue", "issue stage",
-                           problem.issues, totals, problem.endowment, problem._total)
-    if _built_in(psi) and _built_in(phi):
-        # A built-in issue stage keeps every budget within its issue's total.
-        return _split_issues(problem, phi, issue_budgets)
-    terms = [[] for _ in problem.agents]
-    for issue, column, budget in zip(problem.issues, zip(*problem.claims), issue_budgets):
-        column_awards = _stage(phi, "agent", f"agent stage, issue {issue!r}",
-                               problem.agents, column, budget)
-        for agent_terms, award in zip(terms, column_awards):
-            if award:
-                agent_terms.append(award)
-    return tuple(map(_exact_sum, terms))
+    psi, phi = resolve_rule(issue_stage), resolve_rule(agent_stage)
+    issue_budgets = _stage(psi, "issue", "issue stage", problem.issues,
+                           problem.issue_totals(), problem.endowment, problem._total)
+    # A built-in issue stage keeps every budget within its issue's total.
+    return _split_issues(problem, phi, issue_budgets, trusted=_built_in(psi))
 
 
 def streaming_to_claims(problem: StreamingProblem) -> MultiIssueClaims:

@@ -93,7 +93,7 @@ class CoalitionalGame(_CoalitionTable):
         return len(self.players)
 
     def value(self, mask: int) -> Fraction:
-        return self.values[mask]
+        return Fraction(self._integers[1][mask], self._integers[0])
 
     def mask_of(self, coalition: Iterable[str]) -> int:
         mask = 0
@@ -108,7 +108,7 @@ class CoalitionalGame(_CoalitionTable):
 
     @property
     def grand_value(self) -> Fraction:
-        return self.values[-1]
+        return Fraction(self._integers[1][-1], self._integers[0])
 
 
 def listened_mask(problem: StreamingProblem, user: str) -> int:
@@ -244,7 +244,7 @@ class DividendTable(_CoalitionTable):
     _field, _what = "dividends", "dividend"
 
     def of(self, mask: int) -> Fraction:
-        return self.dividends[mask]
+        return Fraction(self._integers[1][mask], self._integers[0])
 
     def nonzero(self) -> list[tuple[int, Fraction]]:
         d, numerators = self._integers
@@ -340,7 +340,7 @@ class CoreDecomposition:
     ``shares[j][i]`` is what user j's fee contributes to artist i.  Each
     user's row is nonnegative, sums to the fee, and is supported on the
     artists that user streamed; :meth:`validate` checks that against a
-    problem.  The public constructor coerces every share and the fee.
+    problem.  The public constructor stores tuples and coerces every share and the fee.
     """
 
     artists: tuple[str, ...]
@@ -349,6 +349,8 @@ class CoreDecomposition:
     fee: Fraction
 
     def __post_init__(self):
+        object.__setattr__(self, "artists", tuple(self.artists))
+        object.__setattr__(self, "users", tuple(self.users))
         object.__setattr__(self, "shares", tuple(tuple(as_rational(x, "share") for x in row)
                                                  for row in self.shares))
         object.__setattr__(self, "fee", as_rational(self.fee, "fee"))

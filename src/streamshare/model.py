@@ -185,11 +185,11 @@ def decimal_display(value: Fraction, places: int) -> str:
     """Render ``value`` with ``places`` decimals, rounding halves away from zero.
 
     Pure integer arithmetic, so ties like 1.875 -> 1.9 are exact.  An
-    inexact ``value`` raises TypeError.
+    inexact ``value`` raises TypeError; ``places`` must be an int.
     """
     value = as_rational(value)
-    if places < 0:
-        raise ModelError("places must be nonnegative")
+    if type(places) is not int or places < 0:
+        raise ModelError("places must be a nonnegative integer")
     sign = "-" if value < 0 else ""
     scaled = abs(value) * 10 ** places
     q, r = divmod(scaled.numerator, scaled.denominator)

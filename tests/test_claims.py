@@ -579,6 +579,30 @@ def test_callable_issue_stage_is_checked_on_streaming_claims(three_user):
             two_stage_rule(mc, overspend, agent_stage)
 
 
+def equal_split(problem: BankruptcyProblem) -> tuple[Fraction, ...]:
+    """Split the endowment equally over every claimant, zero claims included."""
+    return (problem.endowment / len(problem.agents),) * len(problem.agents)
+
+
+def test_callable_agent_stage_sees_every_agent():
+    rng = random.Random(52)
+    problems = [fractional_multi_issue(rng, rng.randint(1, 9), rng.randint(1, 9),
+                                       F(rng.randint(0, 10), 10)) for _ in range(20)]
+    for problem in streaming_views():
+        try:
+            problems.append(streaming_to_claims(problem))
+        except InvalidProblem:
+            pass  # more fee than streams: no claims view to compare
+    for mc in problems:
+        for issue_stage in STAGES + (overspend,):
+            assert outcome(two_stage_rule, mc, issue_stage, equal_split) == outcome(
+                reference_two_stage_rule, mc, issue_stage, equal_split)
+    # Every fifth artist of the sparse catalog streams nothing, yet is paid.
+    silent = streaming_to_claims(sparse_problem_with_silent_artists(48))
+    assert not any(silent.claims[0])
+    assert two_stage_rule(silent, "cea", equal_split)[0] > 0
+
+
 def test_streaming_two_stage_rule_coerces_per_issue_not_per_cell(monkeypatch):
     problem = sparse_problem_with_silent_artists(50)
     calls = []

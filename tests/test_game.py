@@ -853,6 +853,26 @@ def test_game_tables_survive_pickle_copy_and_replace(three_user):
         assert pickle.loads(pickle.dumps(table)) == expected  # after the field was read
 
 
+def test_single_entries_are_read_without_building_the_table():
+    for problem in ProblemGenerator(seed=28, fee=F(7, 3)).sample(30) + [three_user_problem()]:
+        game = streaming_game(problem)
+        dividends = harsanyi_dividends(game)
+        public_game = reference_streaming_game(problem)
+        public_dividends = reference_harsanyi_dividends(public_game)
+        for mask in range(1 << game.player_count):
+            assert game.value(mask) == public_game.values[mask]
+            assert dividends.of(mask) == public_dividends.dividends[mask]
+        assert game.grand_value == public_game.values[-1]
+        assert type(game.value(1)) is type(dividends.of(1)) is type(game.grand_value) is Fraction
+        assert vars(game).keys() == vars(dividends).keys() == {"players", "_integers"}
+
+
+def test_decomposition_stores_its_names_as_tuples():
+    decomposition = CoreDecomposition(["x", "y"], ["a"], [[1, 0]], 1)
+    assert decomposition.artists == ("x", "y") and decomposition.users == ("a",)
+    decomposition.validate(new_problem(["x", "y"], ["a"], [[1], [1]]))
+
+
 def test_shapley_value_of_the_streaming_game_is_the_equal_split_payout():
     for problem in ProblemGenerator(seed=4).sample(200):
         shapley = shapley_from_dividends(harsanyi_dividends(streaming_game(problem)))
