@@ -118,7 +118,13 @@ def verdict_to_dict(verdict: AxiomVerdict) -> dict:
 
 
 def _pass(axiom: str, index: Index, detail: str = "") -> AxiomVerdict:
-    return AxiomVerdict(axiom, index.name, Status.PASS, None, detail)
+    if detail:
+        return AxiomVerdict(axiom, index.name, Status.PASS, None, detail)
+    return _passed(axiom, index.name)
+
+
+# The one PASS verdict without detail of each (axiom, index name).
+_passed = functools.lru_cache(maxsize=256)(functools.partial(AxiomVerdict, status=Status.PASS))
 
 
 def _fail(axiom: str, index: Index, problem: StreamingProblem, detail: str,
@@ -264,11 +270,8 @@ def check_click_fraud_proofness(index: Index, problem: StreamingProblem,
         raise PremiseViolated("problems must share artists, users and fee")
     j = problem.user_index(user)
     for row, row2 in zip(problem.streams, perturbed.streams):
-        changed = [k for k in range(problem.user_count)
-                   if row[k] != row2[k] and k != j]
-        if changed:
-            raise PremiseViolated(
-                f"problems differ outside the column of user {user!r}")
+        if row[:j] != row2[:j] or row[j + 1:] != row2[j + 1:]:
+            raise PremiseViolated(f"problems differ outside the column of user {user!r}")
     before = index(problem)
     _check_artists(problem, before)
     after = index(perturbed)
@@ -370,6 +373,7 @@ class _Property:
     public checker, and ``replay(witness)`` rebuilds its arguments from a
     failed verdict's witness.  ``fixed()`` lists whole argument tuples,
     problem first, that the matrix checks after the reference problems.
+    Only a property that ``draws`` from ``rng`` gets one in the matrix.
     """
 
     premises: Callable[[StreamingProblem, random.Random], Iterable[tuple]]
@@ -377,6 +381,7 @@ class _Property:
     replay: Callable[[Mapping], tuple]
     not_applicable: str
     fixed: Callable[[], Sequence[tuple]] = tuple
+    draws: bool = False
 
 
 _PROPERTIES: dict[str, _Property] = {
@@ -411,7 +416,7 @@ _PROPERTIES: dict[str, _Property] = {
         check_click_fraud_proofness,
         lambda w: (problem_from_dict(w["perturbed"]), w["user"]),
         "no user column to rewrite",
-        fixed=reference_fraud_pairs),
+        fixed=reference_fraud_pairs, draws=True),
     CORE_SELECTION: _Property(
         lambda problem, rng: [()], check_core_selection,
         lambda w: (),
@@ -419,13 +424,23 @@ _PROPERTIES: dict[str, _Property] = {
 }
 
 
-def _memo(index: Index) -> Index:
-    """The index with its scores cached per distinct problem.
+def _memo(index: Index, draw: StreamingProblem) -> Index:
+    """The index with its scores cached per sub-problem of one drawn problem.
 
-    Premise tuples and properties share sub-problems (the whole problem,
-    single-user removals), so each is scored once per memo.
+    Premise tuples and properties share sub-problems, so each is scored once
+    per memo.  Every sub-problem (a split, a removal, a resampled column)
+    keeps the draw's artists and fee objects, so the key is users and counts.
     """
-    return Index(index.name, functools.cache(index.compute))
+    artists, fee, scores = draw.artists, draw.fee, {}
+
+    def compute(problem: StreamingProblem) -> IndexValues:
+        assert problem.artists is artists and problem.fee is fee, "not a sub-problem of the draw"
+        key = problem.users, problem.streams
+        if (values := scores.get(key)) is None:
+            values = scores[key] = index.compute(problem)
+        return values
+
+    return Index(index.name, compute)
 
 
 def _evaluate(memo: Index, axiom: str, problem: StreamingProblem,
@@ -446,11 +461,17 @@ def _evaluate(memo: Index, axiom: str, problem: StreamingProblem,
 def evaluate_axiom(index: Index, axiom: str, problem: StreamingProblem,
                    rng: random.Random | None = None) -> AxiomVerdict:
     """Check one property on one instance, exhausting its premise tuples."""
-    return _evaluate(_memo(index), normalize_axiom(axiom), problem,
+    return _evaluate(_memo(index, problem), normalize_axiom(axiom), problem,
                      rng if rng is not None else random.Random(0))
 
 
 # -- random instances and search -----------------------------------------
+
+def _count(value: int, what: str = "budget") -> int:
+    if type(value) is not int or value < 0:
+        raise ModelError(f"{what} must be a nonnegative integer, got {value!r}")
+    return value
+
 
 @dataclass(frozen=True)
 class ProblemGenerator:
@@ -492,7 +513,7 @@ class ProblemGenerator:
             yield self._draw(rng)
 
     def sample(self, count: int) -> list[StreamingProblem]:
-        return list(islice(self.problems(), count))
+        return list(islice(self.problems(), _count(count, "count")))
 
     def _draw(self, rng: random.Random) -> StreamingProblem:
         n = rng.randint(self.min_artists, self.max_artists)
@@ -550,7 +571,8 @@ class _Cell:
 
     def start(self, seed: int, tag: str = "", note: str = "") -> "_Cell":
         """Begin a run of instances drawing from the rng of (seed, index, axiom, tag)."""
-        self.rng = random.Random(f"{seed}:{self.index.name}:{self.axiom}{tag}")
+        if _PROPERTIES[self.axiom].draws:
+            self.rng = random.Random(f"{seed}:{self.index.name}:{self.axiom}{tag}")
         self.note, self.examined, self.applicable = note, self.instances, 0
         return self
 
@@ -586,7 +608,7 @@ def _run(cells: Sequence[_Cell], problems: Iterable[StreamingProblem]) -> None:
     open_cells = [cell for cell in cells if cell.verdict is None]
     while open_cells and (problem := next(problems, None)) is not None:
         for index, group in groupby(open_cells, key=lambda cell: cell.index):
-            memo = _memo(index)
+            memo = _memo(index, problem)
             for cell in group:
                 cell.record(_evaluate(memo, cell.axiom, problem, cell.rng))
         open_cells = [cell for cell in open_cells if cell.verdict is None]
@@ -600,7 +622,7 @@ def search_witness(index: Index, axiom: str, generator: ProblemGenerator,
     instances were applicable.  Deterministic in (seed, index, axiom).
     """
     cell = _Cell(index, normalize_axiom(axiom)).start(generator.seed)
-    _run([cell], islice(generator.problems(), budget))
+    _run([cell], islice(generator.problems(), _count(budget)))
     return cell.result()
 
 
@@ -615,6 +637,7 @@ def axiom_matrix(indices: Sequence[Index],
     go through one loop that draws each problem once for all the cells
     still open.  Keys of the result are (index name, axiom name).
     """
+    budget = _count(budget)
     axioms = AXIOM_NAMES if axioms is None else tuple(normalize_axiom(a) for a in axioms)
     generator = generator if generator is not None else ProblemGenerator()
     seed = generator.seed

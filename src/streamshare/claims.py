@@ -323,10 +323,9 @@ def streaming_to_claims(problem: StreamingProblem) -> MultiIssueClaims:
     total = Fraction(sum(sums))
     revenue = problem.revenue
     _require_solvent(total, revenue)
-    m = problem.user_count
-    cells = _fractions(list(chain.from_iterable(problem.streams)), 1)
+    made = {t: Fraction(t) for t in set(chain.from_iterable(problem.streams))}
     return _trusted(MultiIssueClaims, agents=problem.artists, issues=problem.users,
-                    claims=tuple(cells[k:k + m] for k in range(0, len(cells), m)),
+                    claims=tuple(tuple(map(made.__getitem__, row)) for row in problem.streams),
                     endowment=revenue, _issue_totals=_fractions(sums, 1), _total=total,
                     _supports=_nonzero_positions(columns))
 

@@ -10,12 +10,13 @@ flawed reference indices used by the fairness checks in
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
 from .model import (Allocation, ArtistMismatch, IndexValues, ModelError, StreamingProblem,
-                    UnknownUser, _over_common_denominator, _trusted, as_rational)
+                    UnknownUser, _trusted, as_rational)
 
 
 class NonPositiveWeight(ModelError):
@@ -96,16 +97,28 @@ def weighted_index(problem: StreamingProblem, weights: WeightSystem) -> IndexVal
 
     Artist i scores the sum over users j of ``w_j * count(i, j)``, summed as
     integers over L = lcm of the weight denominators, then divided by L.
+    Built-in systems give w_j as an integer pair; others are checked per call.
     """
-    per_user = [weights(u, col) for u, col in zip(problem.users, zip(*problem.streams))]
-    common, scaled = _over_common_denominator(per_user)
+    columns = zip(*problem.streams)
+    if (rule := vars(weights).get("_rule")) is None:
+        pairs = [weights(u, col).as_integer_ratio() for u, col in zip(problem.users, columns)]
+    else:
+        pairs = list(map(rule, map(sum, columns)))
+    common = math.lcm(*{q for _, q in pairs})
+    scaled = [p * (common // q) for p, q in pairs]
     return _scores(problem.artists,
                    [sum(w * c for w, c in zip(scaled, row) if c) for row in problem.streams],
                    common)
 
 
-_UNIT = WeightSystem("unit", lambda user, profile: 1)
-_INVERSE_TOTAL = WeightSystem("inverse-total", lambda user, profile: Fraction(1, sum(profile)))
+def _built_in(name: str, rule: Callable[[int], tuple[int, int]]) -> WeightSystem:
+    """Weight ``rule(s)`` for a user with s streams, as a positive pair in lowest terms."""
+    return _trusted(WeightSystem, name=name, _rule=rule,
+                    weight=lambda user, profile: Fraction(*rule(sum(profile))))
+
+
+_UNIT = _built_in("unit", lambda s: (1, 1))
+_INVERSE_TOTAL = _built_in("inverse-total", lambda s: (1, s))
 
 
 def pro_rata_index(problem: StreamingProblem) -> IndexValues:
@@ -135,15 +148,15 @@ def banded_weight_system(params: BandedWeightParams) -> WeightSystem:
     """
     alpha, beta = params.alpha, params.beta
 
-    def weight(user: str, profile: tuple[int, ...]) -> Fraction:
-        s = sum(profile)
+    def rule(s: int) -> tuple[int, int]:
         if s <= alpha:
-            return Fraction(1, s)
+            return 1, s
         if s <= beta:
-            return Fraction(1, alpha)
-        return Fraction(beta, alpha * s)
+            return 1, alpha
+        g = math.gcd(beta, alpha * s)
+        return beta // g, alpha * s // g
 
-    return WeightSystem(f"banded({alpha},{beta})", weight)
+    return _built_in(f"banded({alpha},{beta})", rule)
 
 
 def table_weight_system(table: Mapping[str, int | str | Fraction]) -> WeightSystem:
@@ -204,8 +217,9 @@ def padded_share_index(problem: StreamingProblem) -> IndexValues:
     ``(count(i,j) + total(i)) / (user_total(j) + grand_total)``.
     """
     grand = problem.total_streams
-    common, scales = _over_common_denominator(
-        [Fraction(1, sum(col) + grand) for col in zip(*problem.streams)])
+    denominators = [sum(col) + grand for col in zip(*problem.streams)]
+    common = math.lcm(*set(denominators))
+    scales = [common // k for k in denominators]
     numerators = []
     for row in problem.streams:
         rt = sum(row)
@@ -227,8 +241,9 @@ def stream_share_index(problem: StreamingProblem) -> IndexValues:
 
 def equal_split_index(problem: StreamingProblem) -> IndexValues:
     """Each user splits one unit equally over the artists they streamed."""
-    common, shares = _over_common_denominator(
-        [Fraction(1, len(col) - col.count(0)) for col in zip(*problem.streams)])
+    sizes = [len(col) - col.count(0) for col in zip(*problem.streams)]
+    common = math.lcm(*set(sizes))
+    shares = [common // k for k in sizes]
     return _scores(problem.artists,
                    [sum(s for c, s in zip(row, shares) if c) for row in problem.streams],
                    common)

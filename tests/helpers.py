@@ -59,7 +59,7 @@ from streamshare.game import (
     listened_mask,
 )
 from streamshare.indices import Index, rewards
-from streamshare.model import problem_to_dict, split_problem
+from streamshare.model import _over_common_denominator, problem_to_dict, split_problem
 
 
 def two_user_problem(fee: int | Fraction = 1) -> StreamingProblem:
@@ -163,6 +163,58 @@ def reference_weighted_index(problem: StreamingProblem, weights: WeightSystem) -
     for row in problem.streams:
         scores.append(sum((w * c for w, c in zip(per_user, row) if c), Fraction(0)))
     return IndexValues(problem.artists, tuple(scores))
+
+
+# -- reference Fraction-weight kernels --------------------------------------
+#
+# The common-denominator kernels as they ran when every weight, and every
+# equal-split and padded-share column factor, was a Fraction: each built-in
+# weight system was an ordinary WeightSystem called and checked once per user,
+# and the lcm was taken over the Fractions' denominators.  Kept unchanged as
+# the reference for the differential test of the integer-weight kernels; each
+# returns the ``_integers`` pair ``(d, numerators)``.
+
+REFERENCE_UNIT = WeightSystem("unit", lambda user, profile: 1)
+REFERENCE_INVERSE_TOTAL = WeightSystem("inverse-total",
+                                       lambda user, profile: Fraction(1, sum(profile)))
+
+
+def reference_banded_weight_system(alpha: int, beta: int) -> WeightSystem:
+    def weight(user: str, profile: tuple[int, ...]) -> Fraction:
+        s = sum(profile)
+        if s <= alpha:
+            return Fraction(1, s)
+        if s <= beta:
+            return Fraction(1, alpha)
+        return Fraction(beta, alpha * s)
+
+    return WeightSystem(f"banded({alpha},{beta})", weight)
+
+
+def reference_fraction_weighted_integers(problem: StreamingProblem,
+                                         weights: WeightSystem) -> tuple[int, list[int]]:
+    per_user = [weights(u, col) for u, col in zip(problem.users, zip(*problem.streams))]
+    common, scaled = _over_common_denominator(per_user)
+    return common, [sum(w * c for w, c in zip(scaled, row) if c) for row in problem.streams]
+
+
+def reference_fraction_padded_share_integers(problem: StreamingProblem
+                                             ) -> tuple[int, list[int]]:
+    grand = problem.total_streams
+    common, scales = _over_common_denominator(
+        [Fraction(1, sum(col) + grand) for col in zip(*problem.streams)])
+    numerators = []
+    for row in problem.streams:
+        rt = sum(row)
+        numerators.append(sum((c + rt) * k for c, k in zip(row, scales)))
+    return common, numerators
+
+
+def reference_fraction_equal_split_integers(problem: StreamingProblem
+                                            ) -> tuple[int, list[int]]:
+    common, shares = _over_common_denominator(
+        [Fraction(1, len(col) - col.count(0)) for col in zip(*problem.streams)])
+    return common, [sum(s for c, s in zip(row, shares) if c) for row in problem.streams]
 
 
 # -- reference Fraction-sum kernels and totals ------------------------------

@@ -4,6 +4,7 @@ import functools
 import json
 import random
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
@@ -42,6 +43,7 @@ from streamshare import (
     recheck_witness,
     reference_problems,
     search_witness,
+    split_problem,
     standard_indices,
 )
 from streamshare.axioms import (
@@ -53,7 +55,9 @@ from streamshare.axioms import (
     HOMOGENEITY,
     REASONABLE_LOWER_BOUND,
     _PROPERTIES,
+    _memo,
     _proportional_pairs,
+    _resampled_column,
     axiom_matrix,
     matrix_to_rows,
     normalize_axiom,
@@ -625,3 +629,49 @@ def test_integer_checks_match_the_fraction_checks(fee):
                 seen.add("error" if isinstance(got, tuple) else got.status.value)
     # Passes, failures and raised errors are all compared.
     assert seen == {"pass", "fail", "error"}
+
+
+# -- the per-draw score memo and search budgets ----------------------------------
+
+
+def test_draw_memo_scores_each_sub_problem_once():
+    keys = []
+
+    def counted(problem):
+        keys.append((problem.users, problem.streams))
+        return USER_CENTRIC(problem)
+
+    for problem in ProblemGenerator(seed=35, max_users=5).sample(60) + list(reference_problems()):
+        m, rng = problem.user_count, random.Random(0)
+        subs = [problem]
+        subs += [part for mask in range(1, (1 << m) - 1)
+                 for part in split_problem(problem, [u for j, u in enumerate(problem.users)
+                                                     if mask >> j & 1])]
+        subs += [problem.remove_user(u) for u in problem.users] if m > 1 else []
+        subs += [_resampled_column(problem, u, rng) for u in problem.users]
+        keys.clear()
+        memo = _memo(Index("counted", counted), problem)
+        first = [memo(sub) for sub in subs]
+        assert [memo(sub) for sub in reversed(subs)] == first[::-1]
+        for sub, values in zip(subs, first):
+            assert values._integers == USER_CENTRIC(sub)._integers
+        # Each distinct (users, counts) key is scored once.
+        assert sorted(keys) == sorted({(sub.users, sub.streams) for sub in subs})
+        renamed = new_problem([f"x{a}" for a in problem.artists], problem.users,
+                              problem.streams, problem.fee)
+        for stranger in (renamed, problem.with_fee(problem.fee + 1)):
+            with pytest.raises(AssertionError):
+                memo(stranger)
+
+
+@pytest.mark.parametrize("budget", [0.5, 2.0, True, False, -1, Decimal("1"), "3", None])
+def test_search_budgets_must_be_nonnegative_integers(budget):
+    gen = ProblemGenerator(seed=0)
+    calls = [lambda: axiom_matrix([PRO_RATA], None, gen, budget),
+             lambda: search_witness(PRO_RATA, HOMOGENEITY, gen, budget),
+             lambda: gen.sample(budget)]
+    for call in calls:
+        with pytest.raises(ModelError, match="must be a nonnegative integer"):
+            call()
+    assert len(gen.sample(0)) == 0 and len(gen.sample(3)) == 3
+    assert search_witness(PRO_RATA, HOMOGENEITY, gen, 2).instances == 2

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import math
 import pickle
 import random
 from dataclasses import replace
@@ -40,7 +41,13 @@ from streamshare import (
 from streamshare.axioms import ProblemGenerator
 
 from helpers import (
+    REFERENCE_INVERSE_TOTAL,
     REFERENCE_KERNEL_SCORES,
+    REFERENCE_UNIT,
+    reference_banded_weight_system,
+    reference_fraction_equal_split_integers,
+    reference_fraction_padded_share_integers,
+    reference_fraction_weighted_integers,
     reference_pro_rata_index,
     reference_rewards,
     reference_total,
@@ -330,3 +337,68 @@ def test_passing_additivity_check_builds_no_fractions(three_user):
                     three_user.select_users(["c"])):
         values = memo(problem)
         assert "scores" not in vars(values) and "total" not in vars(values)
+
+
+# -- integer weights against the Fraction-weight kernels ----------------------------
+
+# Band edges, among them pairs where beta/(alpha*s) reduces for some totals s.
+BAND_EDGES = [(1, 1), (1, 3), (2, 4), (3, 6), (4, 10), (5, 7), (6, 9), (20, 60)]
+
+
+def _assert_kernels_match_the_fraction_kernels(problem, edges):
+    assert PRO_RATA(problem)._integers == reference_fraction_weighted_integers(
+        problem, REFERENCE_UNIT)
+    assert USER_CENTRIC(problem)._integers == reference_fraction_weighted_integers(
+        problem, REFERENCE_INVERSE_TOTAL)
+    assert EQUAL_SPLIT(problem)._integers == reference_fraction_equal_split_integers(problem)
+    assert PADDED_SHARE(problem)._integers == reference_fraction_padded_share_integers(problem)
+    for alpha, beta in edges:
+        assert banded_index(alpha, beta)(problem)._integers == (
+            reference_fraction_weighted_integers(
+                problem, reference_banded_weight_system(alpha, beta)))
+
+
+def test_integer_weight_kernels_match_the_fraction_kernels():
+    problems = ProblemGenerator(seed=31, max_artists=7, max_users=9,
+                                max_streams=40).sample(500)
+    totals = {problem.user_total(u) for problem in problems for u in problem.users}
+    # Some totals above beta make beta/(alpha*s) reduce, and some do not.
+    assert {math.gcd(beta, alpha * s) > 1 for alpha, beta in BAND_EDGES for s in totals
+            if s > beta} == {True, False}
+    for problem in problems + [sparse_problem_with_silent_artists(32)]:
+        _assert_kernels_match_the_fraction_kernels(problem, BAND_EDGES)
+
+
+@st.composite
+def _problems(draw):
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    column = st.lists(st.integers(0, 60), min_size=n, max_size=n).filter(any)
+    columns = draw(st.lists(column, min_size=m, max_size=m))
+    return new_problem([str(i) for i in range(n)], [f"u{j}" for j in range(m)],
+                       list(zip(*columns)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_problems(), st.integers(1, 12), st.integers(0, 40))
+def test_integer_weight_kernels_match_the_fraction_kernels_on_any_problem(problem, alpha,
+                                                                           width):
+    _assert_kernels_match_the_fraction_kernels(problem, [(alpha, alpha + width)])
+
+
+def test_custom_weight_systems_are_checked_on_every_call():
+    problems = ProblemGenerator(seed=33, max_artists=6, max_users=7,
+                                max_streams=30).sample(100)
+    for problem in problems:
+        # The built-in systems' public weights, called as custom systems, score the same.
+        for system, index in ((REFERENCE_UNIT, PRO_RATA),
+                              (REFERENCE_INVERSE_TOTAL, USER_CENTRIC),
+                              (banded_weight_system(BandedWeightParams(4, 10)),
+                               banded_index(4, 10))):
+            copied = WeightSystem("copy", system.weight)
+            assert weighted_index(problem, copied)._integers == index(problem)._integers
+        last = problem.users[-1]
+        for bad in (0, F(0), 0.5, -1):
+            # Every user's weight is checked, the last one too.
+            system = WeightSystem("bad", lambda user, profile: bad if user == last else 1)
+            with pytest.raises(NonPositiveWeight):
+                weighted_index(problem, system)
