@@ -373,7 +373,8 @@ class _Property:
     public checker, and ``replay(witness)`` rebuilds its arguments from a
     failed verdict's witness.  ``fixed()`` lists whole argument tuples,
     problem first, that the matrix checks after the reference problems.
-    Only a property that ``draws`` from ``rng`` gets one in the matrix.
+    Only a property that ``draws`` from ``rng`` gets one in the matrix: each
+    ``random.Random`` holds about 2.5 KiB of Mersenne Twister state.
     """
 
     premises: Callable[[StreamingProblem, random.Random], Iterable[tuple]]
@@ -444,25 +445,26 @@ def _memo(index: Index, draw: StreamingProblem) -> Index:
 
 
 def _evaluate(memo: Index, axiom: str, problem: StreamingProblem,
-              rng: random.Random) -> AxiomVerdict:
-    """Check a normalized property on one instance, exhausting its premise tuples."""
-    prop = _PROPERTIES[axiom]
-    checked = 0
+              rng: random.Random) -> tuple[AxiomVerdict | None, int]:
+    """A normalized property's first failure on one instance, or None, and the tuples checked."""
+    prop, checked = _PROPERTIES[axiom], 0
     for args in prop.premises(problem, rng):
         checked += 1
-        verdict = prop.check(memo, problem, *args)
-        if verdict.failed:
-            return verdict
-    if not checked:
-        return AxiomVerdict(axiom, memo.name, Status.NOT_APPLICABLE, None, prop.not_applicable)
-    return _pass(axiom, memo, f"{checked} premise tuples checked")
+        if (verdict := prop.check(memo, problem, *args)).failed:
+            return verdict, checked
+    return None, checked
 
 
 def evaluate_axiom(index: Index, axiom: str, problem: StreamingProblem,
                    rng: random.Random | None = None) -> AxiomVerdict:
     """Check one property on one instance, exhausting its premise tuples."""
-    return _evaluate(_memo(index, problem), normalize_axiom(axiom), problem,
-                     rng if rng is not None else random.Random(0))
+    axiom = normalize_axiom(axiom)
+    failure, checked = _evaluate(_memo(index, problem), axiom, problem,
+                                 rng if rng is not None else random.Random(0))
+    if failure is None and checked:
+        return _pass(axiom, index, f"{checked} premise tuples checked")
+    return failure or AxiomVerdict(axiom, index.name, Status.NOT_APPLICABLE, None,
+                                   _PROPERTIES[axiom].not_applicable)
 
 
 # -- random instances and search -----------------------------------------
@@ -576,12 +578,12 @@ class _Cell:
         self.note, self.examined, self.applicable = note, self.instances, 0
         return self
 
-    def record(self, verdict: AxiomVerdict) -> None:
+    def record(self, failure: AxiomVerdict | None, checked: int) -> None:
         self.instances += 1
-        if verdict.failed:
-            self.verdict = replace(verdict, instances=self.instances,
-                                   detail=verdict.detail + self.note)
-        elif verdict.status is Status.PASS:
+        if failure is not None:
+            self.verdict = replace(failure, instances=self.instances,
+                                   detail=failure.detail + self.note)
+        elif checked:
             self.applicable += 1
 
     def result(self) -> AxiomVerdict:
@@ -610,7 +612,7 @@ def _run(cells: Sequence[_Cell], problems: Iterable[StreamingProblem]) -> None:
         for index, group in groupby(open_cells, key=lambda cell: cell.index):
             memo = _memo(index, problem)
             for cell in group:
-                cell.record(_evaluate(memo, cell.axiom, problem, cell.rng))
+                cell.record(*_evaluate(memo, cell.axiom, problem, cell.rng))
         open_cells = [cell for cell in open_cells if cell.verdict is None]
 
 
@@ -648,7 +650,8 @@ def axiom_matrix(indices: Sequence[Index],
         prop = _PROPERTIES[cell.axiom]
         for case in prop.fixed():
             if cell.verdict is None:
-                cell.record(prop.check(cell.index, *case))
+                verdict = prop.check(cell.index, *case)
+                cell.record(verdict if verdict.failed else None, 1)
     _run([cell.start(seed) for cell in cells], islice(generator.problems(), budget))
     return {(cell.index.name, cell.axiom): cell.result() for cell in cells}
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .model import (Allocation, ArtistMismatch, IndexValues, ModelError, StreamingProblem,
-                    UnknownUser, _trusted, as_rational)
+from .model import (Allocation, ArtistMismatch, IndexValues, ModelError, ParseError,
+                    StreamingProblem, UnknownUser, _trusted, as_rational)
 
 
 class NonPositiveWeight(ModelError):
@@ -60,7 +60,7 @@ class WeightSystem:
         try:
             if (value := as_rational(raw)) > 0:
                 return value
-        except TypeError:
+        except (TypeError, ParseError):
             pass
         raise NonPositiveWeight(f"weight system {self.name!r} returned {raw!r} "
                                 f"for user {user!r}; need a positive rational")
@@ -92,38 +92,33 @@ def _scores(artists: tuple[str, ...], numerators: list[int], common: int) -> Ind
     return _trusted(IndexValues, artists=artists, _integers=(common, numerators))
 
 
-def weighted_index(problem: StreamingProblem, weights: WeightSystem) -> IndexValues:
-    """Score artists by weighted stream counts, one weight per user.
-
-    Artist i scores the sum over users j of ``w_j * count(i, j)``, summed as
-    integers over L = lcm of the weight denominators, then divided by L.
-    Built-in systems give w_j as an integer pair; others are checked per call.
-    """
-    columns = zip(*problem.streams)
-    if (rule := vars(weights).get("_rule")) is None:
-        pairs = [weights(u, col).as_integer_ratio() for u, col in zip(problem.users, columns)]
-    else:
-        pairs = list(map(rule, map(sum, columns)))
+def _over_lcm(pairs: list[tuple[int, int]]) -> tuple[int, list[int]]:
+    """The lcm L of the positive denominators q, over their set, and each ``p/q`` times L."""
     common = math.lcm(*{q for _, q in pairs})
-    scaled = [p * (common // q) for p, q in pairs]
+    return common, [p * (common // q) for p, q in pairs]
+
+
+def _weighted(problem: StreamingProblem, pairs: list[tuple[int, int]]) -> IndexValues:
+    """Artist i scores the sum over users j of ``p/q * count(i, j)``, ``(p, q) = pairs[j]``."""
+    common, weights = _over_lcm(pairs)
     return _scores(problem.artists,
-                   [sum(w * c for w, c in zip(scaled, row) if c) for row in problem.streams],
+                   [sum(w * c for w, c in zip(weights, row) if c) for row in problem.streams],
                    common)
 
 
-def _built_in(name: str, rule: Callable[[int], tuple[int, int]]) -> WeightSystem:
-    """Weight ``rule(s)`` for a user with s streams, as a positive pair in lowest terms."""
-    return _trusted(WeightSystem, name=name, _rule=rule,
-                    weight=lambda user, profile: Fraction(*rule(sum(profile))))
+def weighted_index(problem: StreamingProblem, weights: WeightSystem) -> IndexValues:
+    """Score artists by weighted stream counts, one weight per user.
 
-
-_UNIT = _built_in("unit", lambda s: (1, 1))
-_INVERSE_TOTAL = _built_in("inverse-total", lambda s: (1, s))
+    Artist i scores the sum over users j of ``w_j * count(i, j)``, where
+    ``w_j`` is ``weights(user, column)``, checked on every call.
+    """
+    return _weighted(problem, [weights(u, col).as_integer_ratio()
+                               for u, col in zip(problem.users, zip(*problem.streams))])
 
 
 def pro_rata_index(problem: StreamingProblem) -> IndexValues:
     """Score each artist by their total stream count."""
-    return weighted_index(problem, _UNIT)
+    return _weighted(problem, [(1, 1)] * problem.user_count)
 
 
 def user_centric_index(problem: StreamingProblem) -> IndexValues:
@@ -133,7 +128,17 @@ def user_centric_index(problem: StreamingProblem) -> IndexValues:
     streamed in proportion to their own counts, so the scores total the
     number of users.
     """
-    return weighted_index(problem, _INVERSE_TOTAL)
+    return _weighted(problem, [(1, s) for s in map(sum, zip(*problem.streams))])
+
+
+def _band(alpha: int, beta: int, s: int) -> tuple[int, int]:
+    """The banded weight of a user with s streams, as a positive pair in lowest terms."""
+    if s <= alpha:
+        return 1, s
+    if s <= beta:
+        return 1, alpha
+    g = math.gcd(beta, alpha * s)
+    return beta // g, alpha * s // g
 
 
 def banded_weight_system(params: BandedWeightParams) -> WeightSystem:
@@ -147,22 +152,17 @@ def banded_weight_system(params: BandedWeightParams) -> WeightSystem:
     can pour onto their artists.
     """
     alpha, beta = params.alpha, params.beta
-
-    def rule(s: int) -> tuple[int, int]:
-        if s <= alpha:
-            return 1, s
-        if s <= beta:
-            return 1, alpha
-        g = math.gcd(beta, alpha * s)
-        return beta // g, alpha * s // g
-
-    return _built_in(f"banded({alpha},{beta})", rule)
+    return WeightSystem(f"banded({alpha},{beta})",
+                        lambda user, profile: Fraction(*_band(alpha, beta, sum(profile))))
 
 
 def table_weight_system(table: Mapping[str, int | str | Fraction]) -> WeightSystem:
     """Fixed per-user weights; any entry not a positive exact rational raises NonPositiveWeight."""
-    converted = {u: as_rational(w, f"weight for user {u!r}", NonPositiveWeight)
-                 for u, w in table.items()}
+    try:
+        converted = {u: as_rational(w, f"weight for user {u!r}", NonPositiveWeight)
+                     for u, w in table.items()}
+    except ParseError as exc:
+        raise NonPositiveWeight(str(exc)) from None
 
     def weight(user: str, profile: tuple[int, ...]) -> Fraction:
         try:
@@ -189,14 +189,14 @@ def rewards(problem: StreamingProblem, values: IndexValues) -> Allocation:
     invariant under scaling all scores by the same positive rational.
     """
     _check_artists(problem, values)
-    total = values.total
-    if total <= 0:
+    numerators = values._integers[1]
+    if (total := sum(numerators)) <= 0:
         raise ZeroIndexSum("cannot divide revenue over an all-zero index")
     revenue = problem.revenue
-    factor = revenue / total
-    # The amounts sum to ``revenue`` exactly, so that is their total.
-    return _trusted(Allocation, artists=problem.artists,
-                    amounts=tuple(s * factor for s in values.scores), total=revenue)
+    # Amount i is revenue * numerators[i] / total, so the amounts sum to ``revenue``.
+    return _trusted(Allocation, artists=problem.artists, total=revenue,
+                    _integers=(total * revenue.denominator,
+                               [n * revenue.numerator for n in numerators]))
 
 
 # -- reference indices with known defects --------------------------------
@@ -217,9 +217,7 @@ def padded_share_index(problem: StreamingProblem) -> IndexValues:
     ``(count(i,j) + total(i)) / (user_total(j) + grand_total)``.
     """
     grand = problem.total_streams
-    denominators = [sum(col) + grand for col in zip(*problem.streams)]
-    common = math.lcm(*set(denominators))
-    scales = [common // k for k in denominators]
+    common, scales = _over_lcm([(1, sum(col) + grand) for col in zip(*problem.streams)])
     numerators = []
     for row in problem.streams:
         rt = sum(row)
@@ -241,9 +239,7 @@ def stream_share_index(problem: StreamingProblem) -> IndexValues:
 
 def equal_split_index(problem: StreamingProblem) -> IndexValues:
     """Each user splits one unit equally over the artists they streamed."""
-    sizes = [len(col) - col.count(0) for col in zip(*problem.streams)]
-    common = math.lcm(*set(sizes))
-    shares = [common // k for k in sizes]
+    common, shares = _over_lcm([(1, len(col) - col.count(0)) for col in zip(*problem.streams)])
     return _scores(problem.artists,
                    [sum(s for c, s in zip(row, shares) if c) for row in problem.streams],
                    common)
@@ -263,8 +259,9 @@ REFERENCE_INDICES: tuple[Index, ...] = (
 
 def banded_index(alpha: int, beta: int) -> Index:
     """First-class banded index for a fixed pair of band edges."""
-    system = banded_weight_system(BandedWeightParams(alpha, beta))
-    return Index(system.name, lambda p: weighted_index(p, system))
+    name = banded_weight_system(BandedWeightParams(alpha, beta)).name
+    return Index(name, lambda p: _weighted(
+        p, [_band(alpha, beta, s) for s in map(sum, zip(*p.streams))]))
 
 
 def index_from_weights(weights: WeightSystem) -> Index:

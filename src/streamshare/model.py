@@ -441,8 +441,8 @@ class _ArtistValues(_ExactTable):
     """Base of IndexValues and Allocation: one exact rational per artist.
 
     ``_positive`` forbids an all-zero total.  :func:`_trusted` builds an
-    Allocation from nonnegative Fractions and their sum as ``total``, and an
-    IndexValues from ``_integers`` alone.
+    Allocation from nonnegative ``_integers`` and their sum as ``total``, and
+    an IndexValues from ``_integers`` alone.
     """
 
     artists: tuple[str, ...]

@@ -675,3 +675,22 @@ def test_search_budgets_must_be_nonnegative_integers(budget):
             call()
     assert len(gen.sample(0)) == 0 and len(gen.sample(3)) == 3
     assert search_witness(PRO_RATA, HOMOGENEITY, gen, 2).instances == 2
+
+
+def test_matrix_builds_no_verdict_per_passing_instance(monkeypatch):
+    from streamshare import axioms as axioms_module
+
+    made, verdict_class = [], axioms_module.AxiomVerdict
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return verdict_class(*args, **kwargs)
+
+    monkeypatch.setattr(axioms_module, "AxiomVerdict", counted)
+    matrix = axiom_matrix([PRO_RATA, USER_CENTRIC, UNIFORM],
+                          generator=ProblemGenerator(seed=3), budget=30)
+    # At most one failing verdict and one result per cell, whatever the instance count.
+    assert len(made) <= 2 * len(matrix)
+    assert sum(verdict.instances for verdict in matrix.values()) > 10 * len(matrix)
+    passing = evaluate_axiom(PRO_RATA, ADDITIVITY, reference_problems()[1])
+    assert passing.passed and passing.detail == "3 premise tuples checked"

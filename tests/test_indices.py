@@ -402,3 +402,32 @@ def test_custom_weight_systems_are_checked_on_every_call():
             system = WeightSystem("bad", lambda user, profile: bad if user == last else 1)
             with pytest.raises(NonPositiveWeight):
                 weighted_index(problem, system)
+
+
+@pytest.mark.parametrize("raw", ["abc", "1/0", "0.5", " ", "1e3"])
+def test_weights_that_do_not_parse_raise_nonpositive_weight(two_user, raw):
+    system = WeightSystem("w", lambda user, profile: raw)
+    with pytest.raises(NonPositiveWeight) as caught:
+        weighted_index(two_user, system)
+    assert str(caught.value) == (
+        f"weight system 'w' returned {raw!r} for user 'a'; need a positive rational")
+    with pytest.raises(NonPositiveWeight) as caught:
+        table_weight_system({"b": 1, "a": raw})
+    assert str(caught.value).startswith(f"weight for user 'a' {raw!r} is not a valid rational")
+
+
+def test_rewards_keep_integer_amounts_built_on_first_read():
+    problems = ProblemGenerator(seed=35, fee=F(7, 3)).sample(40) + [three_user_problem(F(5))]
+    for problem in problems:
+        public = IndexValues(problem.artists, [F(k % 3, 4 + k) for k, _ in
+                                               enumerate(problem.artists, 2)])
+        for values in [index(problem) for index in (*KERNELS, banded_index(2, 5))] + [public]:
+            payout = rewards(problem, values)
+            assert vars(payout).keys() == {"artists", "_integers", "total"}
+            assert payout.total == problem.revenue
+            d, numerators = payout._integers
+            expected = Allocation(problem.artists, reference_rewards(problem, values))
+            assert [F(n, d) for n in numerators] == list(expected.amounts)
+            assert "amounts" not in vars(payout)
+            assert payout == expected
+            assert vars(payout)["amounts"] is payout.amounts  # built once, then kept
