@@ -18,6 +18,7 @@ the witness of a failure.
 from __future__ import annotations
 
 import functools
+import inspect
 import random
 import string
 from dataclasses import dataclass, replace
@@ -49,16 +50,6 @@ EQUAL_GLOBAL_IMPACT = "equal-global-impact"
 REASONABLE_LOWER_BOUND = "reasonable-lower-bound"
 CLICK_FRAUD_PROOFNESS = "click-fraud-proofness"
 CORE_SELECTION = "core-selection"
-
-AXIOM_NAMES: tuple[str, ...] = (
-    HOMOGENEITY,
-    ADDITIVITY,
-    EQUAL_INDIVIDUAL_IMPACT,
-    EQUAL_GLOBAL_IMPACT,
-    REASONABLE_LOWER_BOUND,
-    CLICK_FRAUD_PROOFNESS,
-    CORE_SELECTION,
-)
 
 _AXIOM_ALIASES = {
     "click-fraud": CLICK_FRAUD_PROOFNESS,
@@ -370,59 +361,48 @@ class _Property:
     ``premises(problem, rng)`` lazily yields every argument tuple the
     instance supports, in a fixed order, so the first failure and every
     ``rng`` draw are reproducible.  ``check(index, problem, *args)`` is the
-    public checker, and ``replay(witness)`` rebuilds its arguments from a
-    failed verdict's witness.  ``fixed()`` lists whole argument tuples,
-    problem first, that the matrix checks after the reference problems.
-    Only a property that ``draws`` from ``rng`` gets one in the matrix: each
-    ``random.Random`` holds about 2.5 KiB of Mersenne Twister state.
+    public checker; a failed verdict's witness holds its arguments, from
+    ``problem`` on, under the checker's own parameter names, so
+    :func:`recheck_witness` can replay it.  ``fixed()`` lists whole
+    argument tuples, problem first, that the matrix checks after the
+    reference problems.  Only a property that ``draws`` from ``rng`` gets
+    one in the matrix: each ``random.Random`` holds about 2.5 KiB of
+    Mersenne Twister state.
     """
 
     premises: Callable[[StreamingProblem, random.Random], Iterable[tuple]]
     check: Callable[..., AxiomVerdict]
-    replay: Callable[[Mapping], tuple]
     not_applicable: str
     fixed: Callable[[], Sequence[tuple]] = tuple
     draws: bool = False
 
 
 _PROPERTIES: dict[str, _Property] = {
-    HOMOGENEITY: _Property(
-        _proportional_pairs, check_homogeneity,
-        lambda w: (w["artist"], w["other"], w["factor"]),
-        "no proportional artist pair"),
+    HOMOGENEITY: _Property(_proportional_pairs, check_homogeneity, "no proportional artist pair"),
     # Odd masks keep the first user on the left, so every unordered split
     # is visited once; the full set is not a split.
     ADDITIVITY: _Property(
         lambda problem, rng: _user_subsets(problem, range(1, (1 << problem.user_count) - 1, 2)),
-        check_additivity,
-        lambda w: (tuple(w["first_group"]),),
-        "needs at least two users"),
+        check_additivity, "needs at least two users"),
     EQUAL_INDIVIDUAL_IMPACT: _Property(
-        _equal_count_pairs, check_equal_individual_impact,
-        lambda w: (w["artist"], w["user"], w["other_user"]),
-        "no equal-count user pair"),
+        _equal_count_pairs, check_equal_individual_impact, "no equal-count user pair"),
     EQUAL_GLOBAL_IMPACT: _Property(
         lambda problem, rng: ((problem.users[0], u) for u in problem.users[1:]),
-        check_equal_global_impact,
-        lambda w: (w["user"], w["other_user"]),
-        "needs at least two users"),
+        check_equal_global_impact, "needs at least two users"),
     REASONABLE_LOWER_BOUND: _Property(
         lambda problem, rng: _user_subsets(problem, range(1, 1 << problem.user_count)),
-        check_reasonable_lower_bound,
-        lambda w: (tuple(w["coalition"]),),
-        "no user coalition"),
+        check_reasonable_lower_bound, "no user coalition"),
     CLICK_FRAUD_PROOFNESS: _Property(
         lambda problem, rng: ((_resampled_column(problem, u, rng), u)
                               for u in problem.users),
-        check_click_fraud_proofness,
-        lambda w: (problem_from_dict(w["perturbed"]), w["user"]),
-        "no user column to rewrite",
+        check_click_fraud_proofness, "no user column to rewrite",
         fixed=reference_fraud_pairs, draws=True),
     CORE_SELECTION: _Property(
         lambda problem, rng: [()], check_core_selection,
-        lambda w: (),
         "never: the whole problem is the premise"),
 }
+
+AXIOM_NAMES: tuple[str, ...] = tuple(_PROPERTIES)
 
 
 def _memo(index: Index, draw: StreamingProblem) -> Index:
@@ -670,6 +650,8 @@ def recheck_witness(index: Index, verdict: AxiomVerdict) -> bool:
     """
     if verdict.status is not Status.FAIL or verdict.witness is None:
         return False
-    prop = _PROPERTIES[normalize_axiom(verdict.axiom)]
-    problem = problem_from_dict(verdict.witness["problem"])
-    return prop.check(index, problem, *prop.replay(verdict.witness)).failed
+    check = _PROPERTIES[normalize_axiom(verdict.axiom)].check
+    # The witness holds each argument after ``index`` under its parameter name;
+    # problems (``problem``, click-fraud's ``perturbed``) are stored as dicts.
+    args = [verdict.witness[name] for name in islice(inspect.signature(check).parameters, 1, None)]
+    return check(index, *(problem_from_dict(a) if isinstance(a, dict) else a for a in args)).failed

@@ -2,7 +2,8 @@
 
 Reads a streaming problem from CSV or JSON, runs the library, and prints
 either a readable table or machine-ready JSON.  Exact rationals appear as
-'p/q' strings in JSON mode and as rounded decimals in table mode.
+'p/q' strings in JSON mode and as rounded decimals in table mode, at any
+number of digits.
 
 Exit codes: 0 for success (including reports of failed properties), 2 for
 bad input (any ModelError, or a file that cannot be read), 3 for anything
@@ -37,6 +38,10 @@ def _guarded(fn):
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
+        # Exact answers print at any size: lift CPython's limit on int-to-str digits.
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else 0
+        if limit:
+            sys.set_int_max_str_digits(0)
         try:
             return fn(*args, **kwargs)
         except (model.ModelError, OSError) as exc:
@@ -45,6 +50,9 @@ def _guarded(fn):
         except Exception as exc:
             click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
             sys.exit(EXIT_INTERNAL)
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
 
     return wrapper
 

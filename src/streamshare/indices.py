@@ -152,8 +152,9 @@ def banded_weight_system(params: BandedWeightParams) -> WeightSystem:
     can pour onto their artists.
     """
     alpha, beta = params.alpha, params.beta
-    return WeightSystem(f"banded({alpha},{beta})",
-                        lambda user, profile: Fraction(*_band(alpha, beta, sum(profile))))
+    # An empty or all-zero profile gets 0, which WeightSystem refuses as NonPositiveWeight.
+    return WeightSystem(f"banded({alpha},{beta})", lambda user, profile: (
+        Fraction(*_band(alpha, beta, s)) if (s := sum(profile)) else 0))
 
 
 def table_weight_system(table: Mapping[str, int | str | Fraction]) -> WeightSystem:

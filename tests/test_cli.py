@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -565,6 +567,19 @@ def test_commands_import_only_what_they_run(two_user_csv, command, loaded):
     assert modules & lazy == loaded
 
 
+@pytest.mark.parametrize("name", ["game", "claims", "axioms"])
+def test_lazy_submodule_loads_as_a_package_attribute(name):
+    src = str(Path(streamshare.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    module = f"streamshare.{name}"
+    code = (f"import sys, streamshare\nassert {module!r} not in sys.modules\n"
+            f"assert streamshare.{name} is sys.modules[{module!r}]\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env)
+    assert result.returncode == 0, result.stderr
+
+
 BAD_INPUTS = {
     "non-utf8-csv": ("allocate", "-i", "{latin1}"),
     "deeply-nested-json": ("allocate", "-i", "{deep}"),
@@ -621,6 +636,68 @@ def test_unexpected_exception_is_internal_error(runner, two_user_csv, monkeypatc
     assert result.exit_code == EXIT_INTERNAL
     assert "internal error" in result.stderr
     assert "a bug, not bad input" in result.stderr
+
+
+# -- exact answers of any size ----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def prime_totals_csv(tmp_path_factory):
+    """User ``u<p>`` streams artist x once and artist y p - 1 times, for each prime p < 12,000.
+
+    The 1,438 users' totals are the primes, so user-centric payouts have the
+    product of all of them, 5,143 digits, as their denominator: past CPython's
+    default limit of 4,300 digits on converting an int to a string.
+    """
+    primes = [p for p in range(2, 12_000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    path = tmp_path_factory.mktemp("primes") / "primes.csv"
+    path.write_text("\n".join(["artist," + ",".join(f"u{p}" for p in primes),
+                               "x," + ",".join("1" for _ in primes),
+                               "y," + ",".join(str(p - 1) for p in primes)]) + "\n")
+    return str(path)
+
+
+def digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@contextlib.contextmanager
+def ints_of_any_size():
+    """Convert ints of any size to and from strings inside the block."""
+    limit = digit_limit()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_exact_answers_print_at_any_size(runner, prime_totals_csv):
+    limit = digit_limit()
+    problem = streamshare.parse_problem(Path(prime_totals_csv).read_text(), "csv")
+    allocate = invoke(runner, "allocate", "--method", "user-centric", "-i", prime_totals_csv,
+                      "-o", "json")
+    claims = invoke(runner, "claims", "--stage1", "cea", "-i", prime_totals_csv, "-o", "json")
+    assert allocate.exit_code == 0, allocate.output
+    assert claims.exit_code == 0, claims.output
+    assert digit_limit() == limit  # restored for in-process callers
+    payout = streamshare.rewards(problem, streamshare.USER_CENTRIC(problem))
+    awards = streamshare.two_stage_rule(streamshare.streaming_to_claims(problem), "cea",
+                                        "proportional")
+    with ints_of_any_size():
+        assert len(str(payout["x"].denominator)) == 5143
+        assert json.loads(allocate.output)["rewards"] == {
+            a: str(x) for a, x in payout.as_dict().items()}
+        assert json.loads(claims.output)["awards"] == {
+            a: str(x) for a, x in zip(problem.artists, awards)}
+
+
+def test_precision_prints_any_number_of_places(runner, two_user_csv):
+    result = invoke(runner, "allocate", "-i", two_user_csv, "--precision", "5000")
+    assert result.exit_code == 0, result.output
+    assert "0." + "2" + "0" * 4999 in result.output
 
 
 # -- bad numbers on every subcommand, by property ---------------------------------

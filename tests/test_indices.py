@@ -184,6 +184,15 @@ def test_banded_weight_branches():
     assert ws("u", (1,)) == F(1)
 
 
+@pytest.mark.parametrize("profile", [(0,), (0, 0), ()], ids=["zero", "zeros", "empty"])
+def test_banded_weight_of_a_silent_user_is_refused(profile):
+    ws = banded_weight_system(BandedWeightParams(1, 2))
+    with pytest.raises(NonPositiveWeight) as caught:
+        ws("u", profile)
+    assert str(caught.value) == (
+        "weight system 'banded(1,2)' returned 0 for user 'u'; need a positive rational")
+
+
 def test_banded_three_user_golden(three_user):
     pay = rewards(three_user, banded_index(20, 60)(three_user))
     assert pay.as_dict() == {"1": F(5, 8), "2": F(19, 8)}

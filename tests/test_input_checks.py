@@ -78,6 +78,10 @@ REJECTED = {
                      "line 1: header names no users"),
     "csv-header-only": (lambda: parse_problem("artist,a\n", "csv"), ParseError,
                         "line 2: no artist rows"),
+    "bytes-not-utf8": (lambda: parse_problem(b"\xff", "csv"), ParseError,
+                       "input is not UTF-8"),
+    "json-nested-too-deeply": (lambda: parse_problem("[" * 100_000, "json"), ParseError,
+                               "JSON nested too deeply"),
     # game
     "direct-oracle-amount-count": (
         lambda: in_core_direct(streaming_game(two_user_problem()), [F(2)]),
@@ -117,6 +121,9 @@ CLI_CASES = {
     "weights-file-unparsable-weight": (
         ["allocate", "--method", "weighted-file", "--weights-file", "{weights}"],
         json.dumps({"a": "1/0", "b": 1}), EXIT_INPUT, "error: weight for user 'a' '1/0'"),
+    "weights-file-not-json": (
+        ["allocate", "--method", "weighted-file", "--weights-file", "{weights}"], "{not json",
+        EXIT_INPUT, "error: weights file is not UTF-8 JSON"),
 }
 
 
@@ -132,6 +139,18 @@ def test_cli_rejects_bad_method_input(tmp_path, args, weights, code, expected):
     result = CliRunner().invoke(cli, args)
     assert result.exit_code == code, result.output
     assert expected in result.stderr
+    assert "Traceback" not in result.output
+
+
+def test_cli_rejects_a_weights_file_that_is_not_utf8(tmp_path):
+    csv_path = tmp_path / "two.csv"
+    csv_path.write_text("artist,a,b\n1,10,0\n2,0,90\n")
+    weights_path = tmp_path / "weights.json"
+    weights_path.write_bytes(b"\xff")
+    result = CliRunner().invoke(cli, ["allocate", "--method", "weighted-file", "--weights-file",
+                                      str(weights_path), "-i", str(csv_path)])
+    assert result.exit_code == EXIT_INPUT, result.output
+    assert "error: weights file is not UTF-8 JSON" in result.stderr
     assert "Traceback" not in result.output
 
 
