@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, groupby, islice
+from numbers import Real
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import game as game_mod
@@ -249,7 +250,10 @@ def check_reasonable_lower_bound(index: Index, problem: StreamingProblem,
 
 def check_reasonable_lower_bound_all(index: Index,
                                      problem: StreamingProblem) -> AxiomVerdict:
-    """Exhaust every nonempty user coalition; return the first shortfall."""
+    """Exhaust every nonempty user coalition; return the first shortfall.
+
+    More users than ``game.MAX_ENUMERABLE_PLAYERS`` raise TooManyPlayers.
+    """
     return evaluate_axiom(index, REASONABLE_LOWER_BOUND, problem)
 
 
@@ -328,6 +332,8 @@ def _equal_count_pairs(problem: StreamingProblem, rng: random.Random) -> Iterato
 
 
 def _user_subsets(problem: StreamingProblem, masks: range) -> Iterator[tuple]:
+    """Each user subset whose bit mask is in ``masks``; over the player cap, TooManyPlayers."""
+    game_mod._check_cap(problem.user_count, "users")
     for mask in masks:
         yield [u for j, u in enumerate(problem.users) if mask >> j & 1],
 
@@ -405,12 +411,35 @@ _PROPERTIES: dict[str, _Property] = {
 AXIOM_NAMES: tuple[str, ...] = tuple(_PROPERTIES)
 
 
+class _Draw(StreamingProblem):
+    """A private copy of one drawn problem that builds each sub-problem once.
+
+    ``split_problem``, ``remove_user`` and ``select_users`` all end in
+    ``_columns``, which here looks the tuple of column positions up in
+    ``_table`` first.  Every index's memo for the draw checks the same draw,
+    so they share the table, and it is dropped with the draw.
+    """
+
+    def _columns(self, cols: Sequence[int]) -> StreamingProblem:
+        key = tuple(cols)
+        if (sub := self._table.get(key)) is None:
+            sub = self._table[key] = super()._columns(cols)
+        return sub
+
+
+def _draw(problem: StreamingProblem) -> _Draw:
+    """The problem as a :class:`_Draw` with an empty table; ``problem`` is left as it is."""
+    return _trusted(_Draw, **vars(problem), _table={})
+
+
 def _memo(index: Index, draw: StreamingProblem) -> Index:
     """The index with its scores cached per sub-problem of one drawn problem.
 
     Premise tuples and properties share sub-problems, so each is scored once
     per memo.  Every sub-problem (a split, a removal, a resampled column)
     keeps the draw's artists and fee objects, so the key is users and counts.
+    The sub-problems themselves are built once per draw for all indices, in
+    the table of the :class:`_Draw` that ``_run`` and ``evaluate_axiom`` check.
     """
     artists, fee, scores = draw.artists, draw.fee, {}
 
@@ -438,8 +467,8 @@ def _evaluate(memo: Index, axiom: str, problem: StreamingProblem,
 def evaluate_axiom(index: Index, axiom: str, problem: StreamingProblem,
                    rng: random.Random | None = None) -> AxiomVerdict:
     """Check one property on one instance, exhausting its premise tuples."""
-    axiom = normalize_axiom(axiom)
-    failure, checked = _evaluate(_memo(index, problem), axiom, problem,
+    axiom, draw = normalize_axiom(axiom), _draw(problem)
+    failure, checked = _evaluate(_memo(index, draw), axiom, draw,
                                  rng if rng is not None else random.Random(0))
     if failure is None and checked:
         return _pass(axiom, index, f"{checked} premise tuples checked")
@@ -486,6 +515,8 @@ class ProblemGenerator:
             raise ModelError("need 1 <= min_users <= max_users")
         if self.max_streams < 1:
             raise ModelError("max_streams must be at least 1")
+        if type(self.sparsity) is bool or not isinstance(self.sparsity, Real):
+            raise ModelError(f"sparsity must be a real number, got {type(self.sparsity).__name__}")
         if not (0 <= self.sparsity < 1):
             raise ModelError("sparsity must be in [0, 1)")
 
@@ -583,16 +614,18 @@ def _run(cells: Sequence[_Cell], problems: Iterable[StreamingProblem]) -> None:
 
     The problem is the outer loop: every open cell sees it, in cell order,
     with one memo per index (consecutive cells of one index share it),
-    before the next problem is drawn.  No problem is drawn once every cell
-    is closed, and none is kept after its turn.
+    before the next problem is drawn.  All of them check one :class:`_Draw`
+    of it, so each sub-problem is built once.  No problem is drawn once
+    every cell is closed, and none is kept after its turn.
     """
     problems = iter(problems)
     open_cells = [cell for cell in cells if cell.verdict is None]
     while open_cells and (problem := next(problems, None)) is not None:
+        draw = _draw(problem)
         for index, group in groupby(open_cells, key=lambda cell: cell.index):
-            memo = _memo(index, problem)
+            memo = _memo(index, draw)
             for cell in group:
-                cell.record(*_evaluate(memo, cell.axiom, problem, cell.rng))
+                cell.record(*_evaluate(memo, cell.axiom, draw, cell.rng))
         open_cells = [cell for cell in open_cells if cell.verdict is None]
 
 

@@ -3,6 +3,8 @@ from __future__ import annotations
 import functools
 import json
 import random
+import weakref
+from collections import Counter
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -26,6 +28,7 @@ from streamshare import (
     SQUARED_STREAMS,
     STREAM_SHARE,
     Status,
+    StreamingProblem,
     UNIFORM,
     USER_CENTRIC,
     WouldBeEmpty,
@@ -39,12 +42,14 @@ from streamshare import (
     check_reasonable_lower_bound,
     check_reasonable_lower_bound_all,
     evaluate_axiom,
+    index_from_weights,
     new_problem,
     recheck_witness,
     reference_problems,
     search_witness,
     split_problem,
     standard_indices,
+    table_weight_system,
 )
 from streamshare.axioms import (
     ADDITIVITY,
@@ -55,6 +60,7 @@ from streamshare.axioms import (
     HOMOGENEITY,
     REASONABLE_LOWER_BOUND,
     _PROPERTIES,
+    _Draw,
     _memo,
     _proportional_pairs,
     _resampled_column,
@@ -694,3 +700,77 @@ def test_matrix_builds_no_verdict_per_passing_instance(monkeypatch):
     assert sum(verdict.instances for verdict in matrix.values()) > 10 * len(matrix)
     passing = evaluate_axiom(PRO_RATA, ADDITIVITY, reference_problems()[1])
     assert passing.passed and passing.detail == "3 premise tuples checked"
+
+
+# -- the per-draw table of sub-problems ------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_each_sub_problem_is_built_once_per_draw_for_all_indices(monkeypatch, seed):
+    builds, requests = [], []
+    build, request = StreamingProblem._columns, _Draw._columns
+
+    def built(problem, cols):
+        builds.append((problem, tuple(cols)))  # keeps each draw alive, so ids stay distinct
+        return build(problem, cols)
+
+    def requested(problem, cols):
+        requests.append(tuple(cols))
+        return request(problem, cols)
+
+    monkeypatch.setattr(StreamingProblem, "_columns", built)
+    monkeypatch.setattr(_Draw, "_columns", requested)
+    axiom_matrix(CLI_INDICES, None, ProblemGenerator(seed=seed, max_artists=6, max_users=6), 100)
+    assert {type(problem) for problem, _ in builds} == {_Draw}
+    # Each column tuple of a draw is built once, however many indices and premises ask for it.
+    assert set(Counter((id(problem), cols) for problem, cols in builds).values()) == {1}
+    assert len(requests) > 4 * len(builds)
+
+
+@dataclass(frozen=True)
+class HeldGenerator(CountingGenerator):
+    """A counting generator that also records what each problem held when drawn."""
+
+    held: list = field(default_factory=list, compare=False, repr=False)
+
+    def problems(self):
+        for problem in super().problems():
+            self.held.append(dict(vars(problem)))
+            yield problem
+
+
+def test_draws_leave_callers_problems_alone_and_are_dropped_on_return():
+    scored = []
+
+    def remembered(problem):
+        scored.append((type(problem), weakref.ref(problem)))
+        return USER_CENTRIC(problem)
+
+    index = Index("remembered", remembered)
+    gen = HeldGenerator(seed=2, max_artists=6, max_users=6)
+    axiom_matrix([index, PRO_RATA], None, gen, 20)
+    search_witness(index, CLICK_FRAUD_PROOFNESS, gen, 10)
+    problems, held = list(gen.drawn), list(gen.held)
+    for problem in [*reference_problems(), *ProblemGenerator(seed=3).sample(10)]:
+        for axiom in AXIOM_NAMES:
+            problems.append(problem)
+            held.append(dict(vars(problem)))
+            evaluate_axiom(index, axiom, problem)
+    assert [vars(problem) for problem in problems] == held
+    assert _Draw in {kind for kind, _ in scored}
+    # Nothing the index scored, draws and their sub-problems alike, outlives the call.
+    assert [ref for _, ref in scored if ref() is not None] == []
+
+
+def test_matrix_of_a_name_reading_index_matches_the_per_cell_search():
+    weights = table_weight_system({"a": 1, "b": "1/2", "c": 3, "d": "2/3", "e": 5, "f": "7/4"})
+    indices = [index_from_weights(weights), *CUSTOM_INDICES]
+    # Payouts refuse reversed artists; a dropped artist raises on most properties.
+    cases = [(indices[:2], AXIOM_NAMES), (indices[:3], AXIOM_NAMES[:5])]
+    for seed in (0, 1):
+        gen = ProblemGenerator(seed=seed, max_artists=6, max_users=6)
+        for chosen, axioms in cases:
+            assert_same_matrix(axiom_matrix(chosen, axioms, gen, 15),
+                               reference_axiom_matrix(chosen, axioms, gen, 15))
+        assert (_outcome(axiom_matrix, indices, None, gen, 15)
+                == _outcome(reference_axiom_matrix, indices, None, gen, 15))

@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from streamshare import (
+    PRO_RATA,
     USER_CENTRIC,
     Allocation,
     BankruptcyProblem,
@@ -23,6 +24,10 @@ from streamshare import (
     MultiIssueClaims,
     ParseError,
     ProblemGenerator,
+    TooManyPlayers,
+    axiom_matrix,
+    check_reasonable_lower_bound_all,
+    evaluate_axiom,
     extract_decomposition,
     in_core_direct,
     new_problem,
@@ -34,6 +39,12 @@ from streamshare import (
 from streamshare.cli import EXIT_INPUT, cli
 
 from helpers import three_user_problem, two_user_problem
+
+
+def _wide_problem(users):
+    """One artist streamed once by each of ``users`` users."""
+    return new_problem(["1"], [f"u{j}" for j in range(users)], [[1] * users])
+
 
 REJECTED = {
     # claims
@@ -54,6 +65,21 @@ REJECTED = {
     # axioms
     "generator-max-streams": (lambda: ProblemGenerator(max_streams=0),
                               ModelError, "max_streams must be at least 1"),
+    "generator-sparsity-string": (lambda: ProblemGenerator(sparsity="0.3"),
+                                  ModelError, "sparsity must be a real number, got str"),
+    "generator-sparsity-none": (lambda: ProblemGenerator(sparsity=None),
+                                ModelError, "sparsity must be a real number, got NoneType"),
+    # Additivity and the lower bound enumerate every user subset: 2**m of them.
+    "additivity-over-the-user-cap": (
+        lambda: evaluate_axiom(PRO_RATA, "additivity", _wide_problem(21)),
+        TooManyPlayers, "21 users exceeds the 20-player cap"),
+    "lower-bound-over-the-user-cap": (
+        lambda: check_reasonable_lower_bound_all(PRO_RATA, _wide_problem(40)),
+        TooManyPlayers, "40 users exceeds the 20-player cap"),
+    # The seed-0 generator's first problem has 27 users.
+    "matrix-over-the-user-cap": (
+        lambda: axiom_matrix([PRO_RATA], None, ProblemGenerator(max_users=40), 100),
+        TooManyPlayers, "27 users exceeds the 20-player cap"),
     # model
     "empty-artist-name": (lambda: new_problem([""], ["a"], [[1]]), DimensionMismatch,
                           "every artist identifier must be a nonempty string"),
