@@ -138,9 +138,14 @@ def _output_option(fn):
                         help="Print a table or JSON.")(fn)
 
 
+# int-to-str is quadratic in CPython 3.11: 100,000 places print in about 0.5 s on 2 vCPUs.
+MAX_PRECISION = 100_000
+
+
 def _precision_option(fn):
     """Only for the subcommands whose tables print rounded decimals."""
-    return click.option("--precision", type=click.IntRange(min=0), default=4, show_default=True,
+    return click.option("--precision", type=click.IntRange(min=0, max=MAX_PRECISION), default=4,
+                        show_default=True,
                         help="Decimal places in table mode (display only).")(fn)
 
 

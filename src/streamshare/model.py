@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from numbers import Rational
 from operator import itemgetter
 from typing import ClassVar, Iterable, Mapping, Sequence
@@ -532,6 +533,28 @@ def problem_to_dict(problem: StreamingProblem) -> dict:
     }
 
 
+def _all_of(kind: type, values: Iterable) -> bool:
+    """Whether ``values`` is nonempty and each one's type is exactly ``kind``."""
+    return set(map(type, values)) == {kind}
+
+
+def _checked(artists: tuple[str, ...], users: tuple[str, ...],
+             streams: tuple[tuple[int, ...], ...], fee: Fraction) -> StreamingProblem | None:
+    """The problem on these fields if it passes every check at once, else None.
+
+    The fields must already have their stored types (str identifiers, int
+    counts, a Fraction fee).  The checks are those of ``__post_init__``, run
+    on whole rows; on None the caller reruns its own checks to name the fault.
+    """
+    if not (artists and users and len(streams) == len(artists) and fee > 0
+            and set(map(len, streams)) == {len(users)}
+            and min(map(min, streams)) >= 0 and all(map(any, zip(*streams)))
+            and all(artists) and all(users) and len(set(artists)) == len(artists)
+            and len(set(users)) == len(users)):
+        return None
+    return _trusted(StreamingProblem, artists=artists, users=users, streams=streams, fee=fee)
+
+
 def problem_from_dict(data: Mapping) -> StreamingProblem:
     if not isinstance(data, Mapping):
         raise ParseError("top level must be an object")
@@ -544,6 +567,13 @@ def problem_from_dict(data: Mapping) -> StreamingProblem:
     if (not isinstance(artists, list) or not isinstance(users, list)
             or not isinstance(streams, list)):
         raise ParseError("'artists', 'users' and 'streams' must be arrays")
+    if (_all_of(str, artists) and _all_of(str, users) and _all_of(list, streams)
+            and _all_of(int, chain.from_iterable(streams))):
+        fee = as_rational(data.get("fee", 1), "fee", ParseError)
+        problem = _checked(tuple(artists), tuple(users), tuple(map(tuple, streams)), fee)
+        if problem is not None:
+            return problem
+    # The loop below and new_problem name the first fault, if there is one.
     for row in streams:
         if not isinstance(row, list):
             raise ParseError("'streams' must be an array of arrays")
@@ -566,6 +596,20 @@ def _parse_csv(text: str) -> StreamingProblem:
     users = header[1:]
     if not users:
         raise ParseError("header names no users", line=1)
+    # Whole rows first; int() strips whitespace.  On any fault the per-cell loop below
+    # parses again, to name the first fault by line and field.
+    names, counts = [], []
+    try:
+        for raw in lines[1:]:
+            head, _, rest = raw.partition(",")
+            names.append(head.strip())
+            counts.append(tuple(map(int, rest.split(","))))
+    except ValueError:
+        pass
+    else:
+        problem = _checked(tuple(names), tuple(users), tuple(counts), StreamingProblem.fee)
+        if problem is not None:
+            return problem
     artists: list[str] = []
     rows: list[list[int]] = []
     for lineno, raw in enumerate(lines[1:], start=2):

@@ -24,6 +24,7 @@ from streamshare import (
     IssueWeightFunction,
     ModelError,
     MultiIssueClaims,
+    ParseError,
     PremiseViolated,
     StreamingProblem,
     SupermodularityResult,
@@ -289,6 +290,73 @@ def reference_decomposition_amounts(decomposition: CoreDecomposition) -> tuple[F
 def revalidated(problem: StreamingProblem) -> StreamingProblem:
     """The same fields passed again through the validating constructor."""
     return new_problem(problem.artists, problem.users, problem.streams, problem.fee)
+
+
+# -- reference parsers ---------------------------------------------------------
+#
+# The JSON and CSV parsers as they ran when every stream count was converted
+# and checked in a per-cell loop and then checked again by the validating
+# constructor.  Kept unchanged as the reference for the differential test of
+# the whole-row parsers.
+
+
+def reference_problem_from_dict(data: Mapping) -> StreamingProblem:
+    if not isinstance(data, Mapping):
+        raise ParseError("top level must be an object")
+    for key in ("artists", "users", "streams"):
+        if key not in data:
+            raise ParseError(f"missing key {key!r}")
+    artists = data["artists"]
+    users = data["users"]
+    streams = data["streams"]
+    if (not isinstance(artists, list) or not isinstance(users, list)
+            or not isinstance(streams, list)):
+        raise ParseError("'artists', 'users' and 'streams' must be arrays")
+    for row in streams:
+        if not isinstance(row, list):
+            raise ParseError("'streams' must be an array of arrays")
+        for cell in row:
+            if isinstance(cell, bool) or not isinstance(cell, int):
+                raise ParseError(f"stream counts must be integers, got {cell!r}")
+    fee = as_rational(data.get("fee", 1), "fee", ParseError)
+    return new_problem(artists, users, streams, fee)
+
+
+def reference_parse_csv(text: str) -> StreamingProblem:
+    lines = [ln for ln in text.replace("\r\n", "\n").replace("\r", "\n").split("\n")]
+    while lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise ParseError("empty input", line=1)
+    header = [cell.strip() for cell in lines[0].split(",")]
+    if not header or header[0] != "artist":
+        raise ParseError("header must start with 'artist'", line=1, field=1)
+    users = header[1:]
+    if not users:
+        raise ParseError("header names no users", line=1)
+    artists: list[str] = []
+    rows: list[list[int]] = []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        cells = [cell.strip() for cell in raw.split(",")]
+        if len(cells) != len(header):
+            raise ParseError(
+                f"expected {len(header)} fields, got {len(cells)}", line=lineno)
+        artists.append(cells[0])
+        row = []
+        for fieldno, cell in enumerate(cells[1:], start=2):
+            try:
+                value = int(cell)
+            except ValueError:
+                raise ParseError(f"not an integer: {cell!r}",
+                                 line=lineno, field=fieldno) from None
+            if value < 0:
+                raise ParseError(f"negative stream count: {value}",
+                                 line=lineno, field=fieldno)
+            row.append(value)
+        rows.append(row)
+    if not artists:
+        raise ParseError("no artist rows", line=2)
+    return new_problem(artists, users, rows)
 
 
 # -- reference claims loops --------------------------------------------------

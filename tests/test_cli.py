@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import streamshare
-from streamshare.cli import EXIT_INPUT, EXIT_INTERNAL, cli
+from streamshare.cli import EXIT_INPUT, EXIT_INTERNAL, MAX_PRECISION, cli
 from streamshare.game import FlowCoreResult
 
 TWO_USER_CSV = "artist,a,b\n1,10,0\n2,0,90\n"
@@ -698,6 +698,23 @@ def test_precision_prints_any_number_of_places(runner, two_user_csv):
     result = invoke(runner, "allocate", "-i", two_user_csv, "--precision", "5000")
     assert result.exit_code == 0, result.output
     assert "0." + "2" + "0" * 4999 in result.output
+
+
+def test_precision_is_capped_before_any_work(runner, two_user_csv, monkeypatch):
+    result = invoke(runner, "allocate", "-i", two_user_csv, "--precision", str(MAX_PRECISION))
+    assert result.exit_code == 0, result.output
+    assert "0." + "2" + "0" * (MAX_PRECISION - 1) in result.output
+
+    over = str(MAX_PRECISION + 1)
+    result = run_cli("allocate", "-i", two_user_csv, "--precision", over)
+    stderr = result.stderr.decode()
+    assert result.returncode == EXIT_INPUT and result.stdout == b""
+    assert f"0<=x<={MAX_PRECISION}" in stderr and "--precision" in stderr
+    assert "Traceback" not in stderr
+    calls = []
+    monkeypatch.setattr("streamshare.cli.rewards", lambda *args: calls.append(args))
+    result = invoke(runner, "allocate", "-i", two_user_csv, "--precision", over)
+    assert result.exit_code == EXIT_INPUT and calls == []
 
 
 # -- bad numbers on every subcommand, by property ---------------------------------
