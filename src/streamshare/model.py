@@ -226,6 +226,17 @@ class StreamingProblem:
         object.__setattr__(self, "streams", tuple(tuple(row) for row in self.streams))
         object.__setattr__(self, "fee", as_rational(self.fee, "fee", NonPositiveFee))
 
+        # The checks below, run at once on whole rows.  They decide when every
+        # identifier is a str and every count an int; otherwise, or on any fault,
+        # the checks below run entry by entry, in a fixed order, and raise on the first.
+        artists, users, streams = self.artists, self.users, self.streams
+        if (artists and users and self.fee > 0
+                and set(map(type, artists + users)) == {str} and all(artists) and all(users)
+                and len(set(artists)) == len(artists) and len(set(users)) == len(users)
+                and len(streams) == len(artists) and set(map(len, streams)) == {len(users)}
+                and set(map(type, chain.from_iterable(streams))) == {int}
+                and min(map(min, streams)) >= 0 and all(map(any, zip(*streams)))):
+            return
         for name, ids in (("artist", self.artists), ("user", self.users)):
             for ident in ids:
                 if not isinstance(ident, str) or not ident:
@@ -533,28 +544,6 @@ def problem_to_dict(problem: StreamingProblem) -> dict:
     }
 
 
-def _all_of(kind: type, values: Iterable) -> bool:
-    """Whether ``values`` is nonempty and each one's type is exactly ``kind``."""
-    return set(map(type, values)) == {kind}
-
-
-def _checked(artists: tuple[str, ...], users: tuple[str, ...],
-             streams: tuple[tuple[int, ...], ...], fee: Fraction) -> StreamingProblem | None:
-    """The problem on these fields if it passes every check at once, else None.
-
-    The fields must already have their stored types (str identifiers, int
-    counts, a Fraction fee).  The checks are those of ``__post_init__``, run
-    on whole rows; on None the caller reruns its own checks to name the fault.
-    """
-    if not (artists and users and len(streams) == len(artists) and fee > 0
-            and set(map(len, streams)) == {len(users)}
-            and min(map(min, streams)) >= 0 and all(map(any, zip(*streams)))
-            and all(artists) and all(users) and len(set(artists)) == len(artists)
-            and len(set(users)) == len(users)):
-        return None
-    return _trusted(StreamingProblem, artists=artists, users=users, streams=streams, fee=fee)
-
-
 def problem_from_dict(data: Mapping) -> StreamingProblem:
     if not isinstance(data, Mapping):
         raise ParseError("top level must be an object")
@@ -567,13 +556,6 @@ def problem_from_dict(data: Mapping) -> StreamingProblem:
     if (not isinstance(artists, list) or not isinstance(users, list)
             or not isinstance(streams, list)):
         raise ParseError("'artists', 'users' and 'streams' must be arrays")
-    if (_all_of(str, artists) and _all_of(str, users) and _all_of(list, streams)
-            and _all_of(int, chain.from_iterable(streams))):
-        fee = as_rational(data.get("fee", 1), "fee", ParseError)
-        problem = _checked(tuple(artists), tuple(users), tuple(map(tuple, streams)), fee)
-        if problem is not None:
-            return problem
-    # The loop below and new_problem name the first fault, if there is one.
     for row in streams:
         if not isinstance(row, list):
             raise ParseError("'streams' must be an array of arrays")
@@ -596,43 +578,42 @@ def _parse_csv(text: str) -> StreamingProblem:
     users = header[1:]
     if not users:
         raise ParseError("header names no users", line=1)
-    # Whole rows first; int() strips whitespace.  On any fault the per-cell loop below
-    # parses again, to name the first fault by line and field.
-    names, counts = [], []
-    try:
-        for raw in lines[1:]:
-            head, _, rest = raw.partition(",")
-            names.append(head.strip())
-            counts.append(tuple(map(int, rest.split(","))))
-    except ValueError:
-        pass
-    else:
-        problem = _checked(tuple(names), tuple(users), tuple(counts), StreamingProblem.fee)
-        if problem is not None:
-            return problem
     artists: list[str] = []
-    rows: list[list[int]] = []
+    rows: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(lines[1:], start=2):
-        cells = [cell.strip() for cell in raw.split(",")]
-        if len(cells) != len(header):
-            raise ParseError(
-                f"expected {len(header)} fields, got {len(cells)}", line=lineno)
-        artists.append(cells[0])
-        row = []
-        for fieldno, cell in enumerate(cells[1:], start=2):
-            try:
-                value = int(cell)
-            except ValueError:
-                raise ParseError(f"not an integer: {cell!r}",
-                                 line=lineno, field=fieldno) from None
-            if value < 0:
-                raise ParseError(f"negative stream count: {value}",
-                                 line=lineno, field=fieldno)
-            row.append(value)
+        name, _, rest = raw.partition(",")
+        try:
+            row = tuple(map(int, rest.split(",")))  # int() strips whitespace
+        except ValueError:
+            row = ()
+        if len(row) != len(users) or min(row) < 0:
+            row = _csv_counts(raw, lineno, len(header))
+        artists.append(name.strip())
         rows.append(row)
     if not artists:
         raise ParseError("no artist rows", line=2)
     return new_problem(artists, users, rows)
+
+
+def _csv_counts(raw: str, lineno: int, fields: int) -> tuple[int, ...]:
+    """The counts of one CSV row, read cell by cell; raises on the row's first fault.
+
+    Only for a row that failed whole-row conversion: this names the field, and
+    accepts the rare cell that ``str.strip`` cleans but ``int`` alone does not.
+    """
+    cells = [cell.strip() for cell in raw.split(",")]
+    if len(cells) != fields:
+        raise ParseError(f"expected {fields} fields, got {len(cells)}", line=lineno)
+    row = []
+    for fieldno, cell in enumerate(cells[1:], start=2):
+        try:
+            value = int(cell)
+        except ValueError:
+            raise ParseError(f"not an integer: {cell!r}", line=lineno, field=fieldno) from None
+        if value < 0:
+            raise ParseError(f"negative stream count: {value}", line=lineno, field=fieldno)
+        row.append(value)
+    return tuple(row)
 
 
 def _serialize_csv(problem: StreamingProblem) -> str:

@@ -12,18 +12,23 @@ from math import lcm
 from typing import Mapping, Sequence
 
 from streamshare import (
+    AllZeroMatrix,
     Allocation,
     BankruptcyProblem,
     CeaAwards,
     CoalitionalGame,
+    DimensionMismatch,
     DirectCoreResult,
     DividendTable,
+    DuplicateIdentifier,
+    EmptyUserColumn,
     FlowCoreResult,
     IndexValues,
     InvalidProblem,
     IssueWeightFunction,
     ModelError,
     MultiIssueClaims,
+    NonPositiveFee,
     ParseError,
     PremiseViolated,
     StreamingProblem,
@@ -60,7 +65,12 @@ from streamshare.game import (
     listened_mask,
 )
 from streamshare.indices import Index, rewards
-from streamshare.model import _over_common_denominator, problem_to_dict, split_problem
+from streamshare.model import (
+    _over_common_denominator,
+    _trusted,
+    problem_to_dict,
+    split_problem,
+)
 
 
 def two_user_problem(fee: int | Fraction = 1) -> StreamingProblem:
@@ -292,12 +302,52 @@ def revalidated(problem: StreamingProblem) -> StreamingProblem:
     return new_problem(problem.artists, problem.users, problem.streams, problem.fee)
 
 
-# -- reference parsers ---------------------------------------------------------
+# -- reference parsers and validation ------------------------------------------
 #
-# The JSON and CSV parsers as they ran when every stream count was converted
-# and checked in a per-cell loop and then checked again by the validating
-# constructor.  Kept unchanged as the reference for the differential test of
-# the whole-row parsers.
+# The validating constructor and the JSON and CSV parsers as they ran when
+# every stream count was converted and checked in a per-cell loop, and then
+# checked again, entry by entry, by the constructor.  Kept as the reference
+# for the differential test of the whole-row checks; the parsers differ from
+# their old source only in building through ``reference_new_problem``.
+
+
+def reference_new_problem(artists: Sequence[str], users: Sequence[str],
+                          streams: Sequence[Sequence[int]],
+                          fee: int | str | Fraction = 1) -> StreamingProblem:
+    artists = tuple(artists)
+    users = tuple(users)
+    streams = tuple(tuple(row) for row in streams)
+    fee = as_rational(fee, "fee", NonPositiveFee)
+    for name, ids in (("artist", artists), ("user", users)):
+        for ident in ids:
+            if not isinstance(ident, str) or not ident:
+                raise DimensionMismatch(f"every {name} identifier must be a nonempty string")
+        if len(set(ids)) != len(ids):
+            raise DuplicateIdentifier(f"duplicate {name} identifier")
+    if not artists:
+        raise DimensionMismatch("need at least one artist")
+    if not users:
+        raise DimensionMismatch("need at least one user")
+    if len(streams) != len(artists):
+        raise DimensionMismatch(
+            f"{len(artists)} artists but {len(streams)} matrix rows")
+    for row in streams:
+        if len(row) != len(users):
+            raise DimensionMismatch(
+                f"{len(users)} users but a matrix row of length {len(row)}")
+        for cell in row:
+            if isinstance(cell, bool) or not isinstance(cell, int):
+                raise DimensionMismatch(f"stream counts must be integers, got {cell!r}")
+            if cell < 0:
+                raise DimensionMismatch(f"stream counts must be nonnegative, got {cell}")
+    if fee <= 0:
+        raise NonPositiveFee(f"fee must be positive, got {fee}")
+    if sum(sum(row) for row in streams) == 0:
+        raise AllZeroMatrix("every stream count is zero")
+    for j, user in enumerate(users):
+        if all(row[j] == 0 for row in streams):
+            raise EmptyUserColumn(user)
+    return _trusted(StreamingProblem, artists=artists, users=users, streams=streams, fee=fee)
 
 
 def reference_problem_from_dict(data: Mapping) -> StreamingProblem:
@@ -319,7 +369,7 @@ def reference_problem_from_dict(data: Mapping) -> StreamingProblem:
             if isinstance(cell, bool) or not isinstance(cell, int):
                 raise ParseError(f"stream counts must be integers, got {cell!r}")
     fee = as_rational(data.get("fee", 1), "fee", ParseError)
-    return new_problem(artists, users, streams, fee)
+    return reference_new_problem(artists, users, streams, fee)
 
 
 def reference_parse_csv(text: str) -> StreamingProblem:
@@ -356,7 +406,7 @@ def reference_parse_csv(text: str) -> StreamingProblem:
         rows.append(row)
     if not artists:
         raise ParseError("no artist rows", line=2)
-    return new_problem(artists, users, rows)
+    return reference_new_problem(artists, users, rows)
 
 
 # -- reference claims loops --------------------------------------------------

@@ -1,10 +1,11 @@
-"""Differential test of the whole-row CSV and JSON parsers.
+"""Differential test of the whole-row CSV parser and constructor checks.
 
-The parsers convert and check each row as a whole and build the problem
-once; when any check fails they rerun the per-cell loop, which names the
-fault.  Every input here must give what the per-cell parsers in
-``helpers`` give: an equal problem with the same stored fields, or an
-error of the same type, message, line and field.
+The CSV parser converts and checks each row as a whole, and the validating
+constructor checks whole rows at once; either reads cell by cell only where
+a check fails, to name the fault.  Every input here must give what the
+per-cell parsers and constructor in ``helpers`` give: an equal problem with
+the same stored fields, or an error of the same type, message, line and
+field.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from streamshare import ProblemGenerator, new_problem, parse_problem, problem_fr
 from streamshare.model import problem_to_dict, serialize_problem
 
 from helpers import (
+    reference_new_problem,
     reference_parse_csv,
     reference_problem_from_dict,
     revalidated,
@@ -142,6 +144,10 @@ class Count(int):
     """An int subclass, which both parsers store as given."""
 
 
+class Name(str):
+    """A str subclass, which both parsers store as given."""
+
+
 BASE_DICT = {"artists": ["x", "y"], "users": ["a", "b"], "streams": [[3, 0], [0, 2]]}
 
 DICT_MUTATIONS = {
@@ -168,6 +174,8 @@ DICT_MUTATIONS = {
     "duplicate artist": {"artists": ["x", "x"]},
     "empty artist": {"artists": ["", "y"]},
     "non-string artist": {"artists": [1, "y"]},
+    "str subclass artist": {"artists": [Name("x"), "y"]},
+    "str subclass duplicate": {"artists": [Name("x"), "x"]},
     "unhashable user": {"users": [["a"], "b"]},
     "duplicate user": {"users": ["a", "a"]},
     "no users": {"users": [], "streams": [[], []]},
@@ -237,3 +245,59 @@ JSON_CELLS = st.sampled_from([0, 1, 5, -1, True, 1.5, "1", None, Count(2)])
 }, optional={"fee": st.sampled_from([1, 2, "1/2", 0, "-3", 1.0, True])}))
 def test_drawn_dicts_parse_alike(data):
     assert_json_agrees(data)
+
+
+def assert_constructor_agrees(artists, users, streams, fee=1):
+    assert_same(_outcome(lambda a: new_problem(*a), (artists, users, streams, fee)),
+                _outcome(lambda a: reference_new_problem(*a), (artists, users, streams, fee)))
+
+
+def test_valid_problems_construct_alike():
+    for problem in _valid_problems():
+        assert_constructor_agrees(problem.artists, problem.users, problem.streams, problem.fee)
+        assert_constructor_agrees(list(problem.artists), problem.users,
+                                  [list(row) for row in problem.streams], str(problem.fee))
+
+
+ODD_NAMES = ["", Name("x"), 1, None, b"a"]
+ODD_CELLS = [-1, True, 1.5, "1", None, Count(2)]
+
+
+@st.composite
+def constructor_arguments(draw):
+    """Arguments of a valid problem with up to two names, cells, rows or the fee changed.
+
+    Names and changes come from the fixed tables above, so about half of the
+    drawn arguments are valid and the rest fail in every known way.
+    """
+    artists = draw(st.lists(st.sampled_from("wxyz"), min_size=1, max_size=4, unique=True))
+    users = draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True))
+    streams = [draw(st.lists(st.integers(0, 3), min_size=len(users), max_size=len(users)))
+               for _ in artists]
+    for j in range(len(users)):
+        streams[draw(st.integers(0, len(artists) - 1))][j] = draw(st.integers(1, 3))
+    fee = draw(st.sampled_from([1, 2, "1/2", F(3, 4)]))
+    for _ in range(draw(st.integers(0, 2))):
+        change = draw(st.sampled_from(["name", "cell", "zero", "drop", "add", "fee"]))
+        names = draw(st.sampled_from([artists, users]))
+        row = draw(st.sampled_from(streams)) if streams else []
+        if change == "name" and names:
+            names[draw(st.integers(0, len(names) - 1))] = draw(
+                st.sampled_from(ODD_NAMES + artists + users))
+        elif change == "cell" and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(ODD_CELLS))
+        elif change == "zero" and row:
+            row[draw(st.integers(0, len(row) - 1))] = 0
+        elif change == "drop":
+            del draw(st.sampled_from([names, streams, row]))[:1]
+        elif change == "add":
+            draw(st.sampled_from([names, row])).append(draw(st.sampled_from(["v", 0, 1])))
+        elif change == "fee":
+            fee = draw(st.sampled_from([0, "-3", -1, 1.0, True, "0.5"]))
+    return artists, users, streams, fee
+
+
+@settings(max_examples=400, deadline=None)
+@given(constructor_arguments())
+def test_drawn_arguments_construct_alike(arguments):
+    assert_constructor_agrees(*arguments)
