@@ -16,11 +16,12 @@ Coalition values, dividends, decomposition shares and list-form allocations
 pass through :func:`model.as_rational`, so an inexact number among them
 raises TypeError.
 
-Every 2**n table (worths, dividends, running coalition payouts) is computed
-on Python integers over one common denominator, and games and dividend
-tables built here store only those, making their Fractions on first read.
-Scaling by a positive constant changes no comparison, so verdicts,
-witnesses and values are exactly those of Fraction arithmetic.
+Every 2**n table (worths, dividends) is computed on Python integers over
+one common denominator, and games and dividend tables built here store only
+those, making their Fractions on first read.  The enumeration oracle builds
+no 2**n table of its own: it walks the masks in blocks of about 2**(n/2)
+coalition payouts.  Scaling by a positive constant changes no comparison,
+so verdicts, witnesses and values are exactly those of Fraction arithmetic.
 """
 from __future__ import annotations
 
@@ -158,14 +159,15 @@ def streaming_game(problem: StreamingProblem) -> CoalitionalGame:
     """
     n = problem.artist_count
     _check_cap(n, "artists")
-    counts = [0] * (1 << n)
+    fee = problem.fee
+    # The transform is linear, so counting fee.numerator per user scales it in place.
+    worths = [0] * (1 << n)
     bits = [1 << i for i in range(n)]
     for column in zip(*problem.streams):
-        counts[sum(compress(bits, column))] += 1
-    _subset_sums(counts, n)
-    fee = problem.fee
+        worths[sum(compress(bits, column))] += fee.numerator
+    _subset_sums(worths, n)
     return _trusted(CoalitionalGame, players=problem.artists,
-                    _integers=(fee.denominator, [c * fee.numerator for c in counts]))
+                    _integers=(fee.denominator, worths))
 
 
 @dataclass(frozen=True)
@@ -305,13 +307,23 @@ class DirectCoreResult:
         return frozenset(_members(self.players, self.blocking_mask))
 
 
+def _running_totals(units: Sequence[int]) -> list[int]:
+    """The payout of every coalition of ``units``' players, in mask order."""
+    totals = [0]
+    for unit in units:
+        totals += list(map(unit.__add__, totals))
+    return totals
+
+
 def in_core_direct(game: CoalitionalGame,
                    allocation: Allocation | Sequence[Fraction]) -> DirectCoreResult:
     """Check core membership by enumerating every coalition.
 
-    Coalition payouts are built one player at a time, in increasing mask
-    order, as integers over the lcm of the game's and the allocation's
-    denominators.
+    Payouts are integers over the lcm of the game's and the allocation's
+    denominators.  Those of the coalitions of the low ceil(n/2) players and
+    of the high floor(n/2) players are tabled once each; every mask is then
+    one high coalition's payout plus one low coalition's, compared block by
+    block in increasing mask order, so nothing of size 2**n is built.
     """
     amounts = _amounts(allocation, game.player_count)
     d, worths = game._integers
@@ -319,17 +331,17 @@ def in_core_direct(game: CoalitionalGame,
     _, (factor, *units) = _over_common_denominator((Fraction(1, d), *amounts))
     if sum(units) != worths[-1] * factor:
         return DirectCoreResult(False, False, None, game.players)
-    totals = [0]
-    for unit in units:
-        start = len(totals)
-        added = list(map(unit.__add__, totals))
-        floor = worths[start:2 * start]
+    half = (len(units) + 1) // 2
+    low = _running_totals(units[:half])
+    size = len(low)
+    for start, base in zip(count(0, size), _running_totals(units[half:])):
+        floor = worths[start:start + size]
         if factor != 1:
             floor = map(factor.__mul__, floor)
-        blocking = next(compress(count(start), map(operator.lt, added, floor)), None)
+        paid = map(base.__add__, low)
+        blocking = next(compress(count(start), map(operator.lt, paid, floor)), None)
         if blocking is not None:
             return DirectCoreResult(False, True, blocking, game.players)
-        totals += added
     return DirectCoreResult(True, True, None, game.players)
 
 

@@ -117,7 +117,19 @@ class ParseError(ModelError):
         self.field = field
 
 
-_RATIONAL_TEXT = re.compile(r"\s*[+-]?\d+(?:/\d+)?\s*")
+_RATIONAL_TEXT = re.compile(r"\s*[+-]?(\d+)(?:/(\d+))?\s*")
+
+# The most digits one number read from text may have: a CSV or JSON stream
+# count, or either part of a string such as a fee.  CPython converts decimal
+# text to int in quadratic time, so the cap is checked before converting.
+MAX_INPUT_DIGITS = 100_000
+
+
+def _check_digits(digits: int, what: str, line: int | None = None,
+                  field: int | None = None) -> None:
+    if digits > MAX_INPUT_DIGITS:
+        raise ParseError(f"{what} has {digits} digits, over the {MAX_INPUT_DIGITS}-digit "
+                         "cap on one input number", line, field)
 
 
 def as_rational(value: int | str | Fraction, what: str = "value",
@@ -137,9 +149,12 @@ def as_rational(value: int | str | Fraction, what: str = "value",
     if kind is not int and (kind is bool or not isinstance(value, (str, Rational))):
         raise error(f"{what} must be an exact rational (int, Fraction, or 'p/q' string), "
                     f"got {kind.__name__}")
-    if isinstance(value, str) and not _RATIONAL_TEXT.fullmatch(value):
-        raise ParseError(f"{what} {value!r} is not a valid rational: "
-                         "expected an integer or 'p/q'")
+    if isinstance(value, str):
+        match = _RATIONAL_TEXT.fullmatch(value)
+        if not match:
+            raise ParseError(f"{what} {value!r} is not a valid rational: "
+                             "expected an integer or 'p/q'")
+        _check_digits(max(len(match[1]), len(match[2] or "")), what)
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
@@ -582,8 +597,11 @@ def _parse_csv(text: str) -> StreamingProblem:
     rows: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(lines[1:], start=2):
         name, _, rest = raw.partition(",")
+        # A row no longer than the digit cap holds no cell over it.
+        fits = (len(rest) <= MAX_INPUT_DIGITS
+                or max(map(len, rest.split(","))) <= MAX_INPUT_DIGITS)
         try:
-            row = tuple(map(int, rest.split(",")))  # int() strips whitespace
+            row = tuple(map(int, rest.split(","))) if fits else ()  # int() strips whitespace
         except ValueError:
             row = ()
         if len(row) != len(users) or min(row) < 0:
@@ -598,14 +616,17 @@ def _parse_csv(text: str) -> StreamingProblem:
 def _csv_counts(raw: str, lineno: int, fields: int) -> tuple[int, ...]:
     """The counts of one CSV row, read cell by cell; raises on the row's first fault.
 
-    Only for a row that failed whole-row conversion: this names the field, and
-    accepts the rare cell that ``str.strip`` cleans but ``int`` alone does not.
+    Only for a row that failed whole-row conversion or holds a cell longer than
+    the digit cap: this names the field, refuses a count over the cap before
+    converting it, and accepts the rare cell that ``str.strip`` cleans but
+    ``int`` alone does not.
     """
     cells = [cell.strip() for cell in raw.split(",")]
     if len(cells) != fields:
         raise ParseError(f"expected {fields} fields, got {len(cells)}", line=lineno)
     row = []
     for fieldno, cell in enumerate(cells[1:], start=2):
+        _check_digits(len(cell.lstrip("+-")), "stream count", lineno, fieldno)
         try:
             value = int(cell)
         except ValueError:
@@ -643,12 +664,18 @@ def parse_problem(data: str | bytes, format: str) -> StreamingProblem:
     if format == "csv":
         return _parse_csv(data)
     try:
-        payload = json.loads(data)
+        payload = json.loads(data, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc.msg}", line=exc.lineno, field=exc.colno) from None
     except RecursionError:
         raise ParseError("JSON nested too deeply") from None
     return problem_from_dict(payload)
+
+
+def _json_int(text: str) -> int:
+    """A JSON integer, refused before conversion when it has too many digits."""
+    _check_digits(len(text) - text.startswith("-"), "JSON number")
+    return int(text)
 
 
 def serialize_problem(problem: StreamingProblem, format: str) -> str:

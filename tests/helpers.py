@@ -7,7 +7,7 @@ import operator
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, compress, count, islice
 from math import lcm
 from typing import Mapping, Sequence
 
@@ -60,8 +60,10 @@ from streamshare.axioms import (
 from streamshare.game import (
     MAX_ENUMERABLE_PLAYERS,
     _amounts,
+    _check_cap,
     _first_violation,
     _pairs,
+    _subset_sums,
     listened_mask,
 )
 from streamshare.indices import Index, rewards
@@ -614,6 +616,49 @@ def reference_in_core_direct(game: CoalitionalGame,
         totals[mask] = totals[mask ^ low] + amounts[low.bit_length() - 1]
         if totals[mask] < game.values[mask]:
             return DirectCoreResult(False, True, mask, game.players)
+    return DirectCoreResult(True, True, None, game.players)
+
+
+# -- reference integer coalition tables -----------------------------------------
+#
+# The integer streaming game that scaled its histogram by the fee after the
+# transform, and the enumeration oracle that doubled one running table of
+# 2**n coalition payouts, as they ran before the oracle walked its masks in
+# blocks.  Kept unchanged as the reference for the differential test of both.
+
+
+def reference_scaled_streaming_game(problem: StreamingProblem) -> CoalitionalGame:
+    n = problem.artist_count
+    _check_cap(n, "artists")
+    counts = [0] * (1 << n)
+    bits = [1 << i for i in range(n)]
+    for column in zip(*problem.streams):
+        counts[sum(compress(bits, column))] += 1
+    _subset_sums(counts, n)
+    fee = problem.fee
+    return _trusted(CoalitionalGame, players=problem.artists,
+                    _integers=(fee.denominator, [c * fee.numerator for c in counts]))
+
+
+def reference_doubling_in_core_direct(game: CoalitionalGame,
+                                      allocation: Allocation | Sequence[Fraction]
+                                      ) -> DirectCoreResult:
+    amounts = _amounts(allocation, game.player_count)
+    d, worths = game._integers
+    _, (factor, *units) = _over_common_denominator((Fraction(1, d), *amounts))
+    if sum(units) != worths[-1] * factor:
+        return DirectCoreResult(False, False, None, game.players)
+    totals = [0]
+    for unit in units:
+        start = len(totals)
+        added = list(map(unit.__add__, totals))
+        floor = worths[start:2 * start]
+        if factor != 1:
+            floor = map(factor.__mul__, floor)
+        blocking = next(compress(count(start), map(operator.lt, added, floor)), None)
+        if blocking is not None:
+            return DirectCoreResult(False, True, blocking, game.players)
+        totals += added
     return DirectCoreResult(True, True, None, game.players)
 
 

@@ -717,6 +717,91 @@ def test_precision_is_capped_before_any_work(runner, two_user_csv, monkeypatch):
     assert result.exit_code == EXIT_INPUT and calls == []
 
 
+# -- the cap on the digits of one input number --------------------------------------
+
+CAP = streamshare.model.MAX_INPUT_DIGITS
+CAP_MESSAGE = f"digits, over the {CAP}-digit cap on one input number"
+
+
+def catalog_json(count: str, fee: str) -> str:
+    return ('{"artists": ["x", "y"], "users": ["a", "b"], '
+            f'"streams": [[{count}, 0], [1, 2]], "fee": {fee}}}')
+
+
+# (id, input with N for the long number, format, what the error calls it, its line)
+DIGIT_SLOTS = [
+    ("csv", "artist,a,b\nx,N,0\ny,1,2\n", "csv", "stream count", 2),
+    ("csv-padded", "artist,a,b\nx, N ,0\ny,1,2\n", "csv", "stream count", 2),
+    ("csv-signed", "artist,a,b\nx,1,0\ny,1,+N\n", "csv", "stream count", 3),
+    ("json-count", catalog_json("N", '"1"'), "json", "JSON number", None),
+    ("json-fee", catalog_json("1", "N"), "json", "JSON number", None),
+    ("fee-string", catalog_json("1", '"N"'), "json", "fee", None),
+    ("fee-denominator", catalog_json("1", '"2/N"'), "json", "fee", None),
+]
+
+
+@pytest.mark.parametrize("text, fmt, what, line",
+                         [slot[1:] for slot in DIGIT_SLOTS], ids=[slot[0] for slot in DIGIT_SLOTS])
+def test_input_digits_are_capped_before_conversion(text, fmt, what, line):
+    with ints_of_any_size():
+        problem = streamshare.parse_problem(text.replace("N", "7" * CAP), fmt)
+        numbers = (*problem.streams[0], *problem.streams[1], problem.fee.denominator,
+                   problem.fee.numerator)
+        assert len(str(max(numbers))) == CAP
+        # One digit more is refused, and before conversion: a long cell that is not an
+        # integer at all is refused for its length, not for its text.
+        overs = ["7" * (CAP + 1)] + ["7" * CAP + "x"] * (fmt == "csv")
+        for over in overs:
+            with pytest.raises(streamshare.ParseError) as caught:
+                streamshare.parse_problem(text.replace("N", over), fmt)
+            assert str(caught.value).endswith(f"{what} has {CAP + 1} {CAP_MESSAGE}")
+            assert caught.value.line == line
+
+
+def test_fee_digit_cap_counts_digits_only():
+    fee = f" -{'7' * CAP}/{'3' * CAP} "
+    with ints_of_any_size():
+        assert streamshare.model.as_rational(fee) == -streamshare.model.as_rational(fee[2:])
+    with pytest.raises(streamshare.ParseError, match=f"^fee has {CAP + 1} {CAP_MESSAGE}$"):
+        streamshare.model.as_rational(f"{'7' * (CAP + 1)}/3", "fee")
+
+
+def test_wide_rows_stay_on_the_whole_row_path(monkeypatch):
+    """A row longer than the cap whose cells are all short converts as a whole."""
+    users = [f"u{j}" for j in range(CAP // 3)]
+    row = ",".join(str(j % 999 + 1) for j in range(len(users)))
+    text = "artist," + ",".join(users) + f"\nx,{row}\ny,{row}\n"
+    assert len(row) > CAP
+    per_cell = []
+    read_cells = streamshare.model._csv_counts
+    monkeypatch.setattr(streamshare.model, "_csv_counts",
+                        lambda *args: per_cell.append(args[1]) or read_cells(*args))
+    problem = streamshare.parse_problem(text, "csv")
+    assert problem.streams[0][:3] == (1, 2, 3) and per_cell == []
+    # A cell longer than the cap, but of no more digits, is read cell by cell and accepted.
+    long_cell = text.replace("x,1,2,", f"x,1, {'0' * (CAP - 1)}2,", 1)
+    with ints_of_any_size():
+        assert streamshare.parse_problem(long_cell, "csv") == problem and per_cell == [2]
+
+
+def test_input_digit_cap_exits_2_on_every_input(tmp_path):
+    path = tmp_path / "over.csv"
+    path.write_text(f"artist,a,b\nx,{'9' * (CAP + 1)},0\ny,1,2\n")
+    result = run_cli("allocate", "-i", str(path))
+    assert result.returncode == EXIT_INPUT and result.stdout == b""
+    assert result.stderr.decode() == (
+        f"error: line 2, field 2: stream count has {CAP + 1} {CAP_MESSAGE}\n")
+    path = tmp_path / "over.json"
+    path.write_text(catalog_json("9" * (CAP + 1), '"1"'))
+    result = run_cli("core-check", "-i", str(path))
+    assert result.returncode == EXIT_INPUT and result.stdout == b""
+    assert result.stderr.decode() == f"error: JSON number has {CAP + 1} {CAP_MESSAGE}\n"
+    result = run_cli("claims", "-i", "-", "--format", "csv", "--fee", "1/" + "3" * (CAP + 1),
+                     stdin=b"artist,a,b\nx,3,0\ny,0,2\n")
+    assert result.returncode == EXIT_INPUT and result.stdout == b""
+    assert result.stderr.decode() == f"error: fee has {CAP + 1} {CAP_MESSAGE}\n"
+
+
 # -- bad numbers on every subcommand, by property ---------------------------------
 #
 # In-process through CliRunner, so many inputs stay cheap; the subprocess table

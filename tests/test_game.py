@@ -54,12 +54,14 @@ from helpers import (
     perturbed_allocation,
     random_member,
     reference_decomposition_amounts,
+    reference_doubling_in_core_direct,
     reference_harsanyi_dividends,
     reference_in_core_flow,
     reference_in_core_direct,
     reference_is_supermodular,
     reference_local_is_supermodular,
     reference_reconstruct_from_dividends,
+    reference_scaled_streaming_game,
     reference_streaming_game,
     shapley_from_dividends,
     three_user_problem,
@@ -877,3 +879,129 @@ def test_shapley_value_of_the_streaming_game_is_the_equal_split_payout():
     for problem in ProblemGenerator(seed=4).sample(200):
         shapley = shapley_from_dividends(harsanyi_dividends(streaming_game(problem)))
         assert shapley == rewards(problem, EQUAL_SPLIT(problem)).amounts
+
+
+# -- the block walk of the enumeration oracle against the doubling table ---------
+
+
+def paid_by_coalition(amounts: list[Fraction]) -> list[Fraction]:
+    paid = [F(0)]
+    for amount in amounts:
+        paid += [p + amount for p in paid]
+    return paid
+
+
+def blocked_at(mask: int, n: int, rng: random.Random, denominators: int):
+    """A game and an efficient payout whose smallest blocking coalition is ``mask``.
+
+    Every smaller coalition is worth at most its payout, some exactly that;
+    ``mask`` is worth more; larger coalitions are worth anything, apart from
+    the grand coalition, which is worth the total.  So with the grand
+    coalition as ``mask`` the payout is in the core.
+    """
+    def number(low: int) -> Fraction:
+        return F(rng.randint(low, 9), rng.randint(1, denominators))
+
+    amounts = [number(-9) for _ in range(n)]
+    paid = paid_by_coalition(amounts)
+    values = [F(0)]
+    for m in range(1, 1 << n):
+        if m < mask:
+            values.append(paid[m] - rng.choice((F(0), number(0))))
+        else:
+            values.append(paid[m] + (number(1) if m == mask else number(-9)))
+    values[-1] = paid[-1]
+    return CoalitionalGame(tuple(f"p{i}" for i in range(n)), tuple(values)), amounts
+
+
+def block_boundaries(n: int) -> set[int]:
+    """Masks at the seams of the walk that can block an efficient payout.
+
+    The first and last mask of the block of each high coalition, mask 1, and
+    2**n - 2, the last mask before the grand coalition, which never blocks
+    an efficient payout.
+    """
+    half, full = (n + 1) // 2, (1 << n) - 1
+    starts = range(0, 1 << n, 1 << half)
+    masks = {1, full - 1, *starts, *(s + (1 << half) - 1 for s in starts)}
+    return {m for m in masks if 0 < m < full}
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_direct_oracle_finds_the_smallest_blocking_mask_at_every_block_boundary(n):
+    rng = random.Random(70 + n)
+    targets = block_boundaries(n)
+    assert n == 1 or {1, 1 << (n + 1) // 2, (1 << n) - 2} <= targets
+    for mask in sorted(targets):
+        for denominators in (1, 6):
+            game, amounts = blocked_at(mask, n, rng, denominators)
+            result = in_core_direct(game, amounts)
+            assert result == reference_doubling_in_core_direct(game, amounts)
+            assert (result.in_core, result.efficient, result.blocking_mask) == (False, True, mask)
+    for denominators in (1, 6):
+        game, amounts = blocked_at((1 << n) - 1, n, rng, denominators)
+        result = in_core_direct(game, amounts)
+        assert result == reference_doubling_in_core_direct(game, amounts)
+        assert (result.in_core, result.efficient, result.blocking_mask) == (True, True, None)
+        amounts[rng.randrange(n)] += F(1, denominators)
+        result = in_core_direct(game, amounts)
+        assert result == reference_doubling_in_core_direct(game, amounts)
+        assert (result.in_core, result.efficient, result.blocking_mask) == (False, False, None)
+
+
+def signed_payout(amounts: list[Fraction], rng: random.Random) -> list[Fraction]:
+    """The payout with one amount moved to the next, leaving it negative (unless n is 1)."""
+    amounts = list(amounts)
+    i = rng.randrange(len(amounts))
+    k = (i + 1) % len(amounts)
+    shift = amounts[i] + F(rng.randint(1, 5), rng.randint(1, 4))
+    amounts[i] -= shift
+    amounts[k] += shift
+    return amounts
+
+
+@pytest.mark.parametrize("fee", [F(1), F(7, 3), F(1, 2), F(5)])
+def test_streaming_game_and_direct_oracle_match_the_doubling_code(fee):
+    rng = random.Random(str(fee))
+    verdicts = Counter()
+    for n in range(1, 11):
+        for seed in range(3):
+            problem = seeded_streaming_problem(seed=100 * n + seed, artists=n,
+                                               users=rng.randint(1, 40)).with_fee(fee)
+            game = streaming_game(problem)
+            assert game._integers == reference_scaled_streaming_game(problem)._integers
+            assert game.values == reference_streaming_game(problem).values
+            member = random_member(problem, rng)
+            off_total = list(member)
+            off_total[rng.randrange(n)] += F(1, rng.randint(1, 9))
+            payouts = [rewards(problem, USER_CENTRIC(problem)),
+                       rewards(problem, PRO_RATA(problem)), member,
+                       perturbed_allocation(problem, rng), off_total,
+                       signed_payout(member, rng)]
+            for amounts in payouts:
+                for g in (game, CoalitionalGame(game.players, game.values)):
+                    result = in_core_direct(g, amounts)
+                    assert result == reference_doubling_in_core_direct(g, amounts)
+                verdicts[result.in_core, result.efficient] += 1
+    assert verdicts[True, True] >= 60 and verdicts[False, True] >= 30
+    assert verdicts[False, False] >= 30
+
+
+def test_direct_oracle_and_game_table_work_in_bounded_memory():
+    """The oracle builds no table of 2**16 payouts; the game builds its table once."""
+    problem = seeded_streaming_problem(seed=16, artists=16, users=400)
+    payout = rewards(problem, USER_CENTRIC(problem))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        game = streaming_game(problem)
+        kept, game_peak = (size - start for size in tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = in_core_direct(game, payout)
+        oracle_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert result.in_core  # user-centric payouts are in the core: every mask is visited
+    assert oracle_peak < 256 << 10
+    assert game_peak < 1.75 * kept
