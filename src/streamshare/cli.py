@@ -108,8 +108,9 @@ def _method_index(method: str, alpha: int | None, beta: int | None,
         if weights_file is None:
             raise model.ModelError("--method weighted-file requires --weights-file")
         try:
-            table = json.loads(_read_bytes(weights_file).decode("utf-8"))
-        except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deep JSON
+            table = json.loads(_read_bytes(weights_file).decode("utf-8"),
+                               parse_int=model._json_int)
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise model.ParseError(f"weights file is not UTF-8 JSON: {exc}") from None
         if not isinstance(table, dict):
             raise model.ParseError("the weights file must hold a JSON object of user weights")

@@ -114,12 +114,8 @@ class CoalitionalGame(_CoalitionTable):
 
 def listened_mask(problem: StreamingProblem, user: str) -> int:
     """The user's listened set as a bitmask over the artist tuple."""
-    j = problem.user_index(user)
-    mask = 0
-    for i, row in enumerate(problem.streams):
-        if row[j] > 0:
-            mask |= 1 << i
-    return mask
+    bits = (1 << i for i in range(problem.artist_count))
+    return sum(compress(bits, problem.profile(user)))
 
 
 def _pairs(n: int, bit: int) -> Iterable[tuple[slice, slice]]:

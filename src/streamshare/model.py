@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import repeat
 from numbers import Rational
 from operator import itemgetter
 from typing import ClassVar, Iterable, Mapping, Sequence
@@ -238,49 +238,43 @@ class StreamingProblem:
     def __post_init__(self):
         object.__setattr__(self, "artists", tuple(self.artists))
         object.__setattr__(self, "users", tuple(self.users))
-        object.__setattr__(self, "streams", tuple(tuple(row) for row in self.streams))
+        object.__setattr__(self, "streams", tuple(map(tuple, self.streams)))
         object.__setattr__(self, "fee", as_rational(self.fee, "fee", NonPositiveFee))
+        artists, users, streams, fee = self.artists, self.users, self.streams, self.fee
 
-        # The checks below, run at once on whole rows.  They decide when every
-        # identifier is a str and every count an int; otherwise, or on any fault,
-        # the checks below run entry by entry, in a fixed order, and raise on the first.
-        artists, users, streams = self.artists, self.users, self.streams
-        if (artists and users and self.fee > 0
-                and set(map(type, artists + users)) == {str} and all(artists) and all(users)
-                and len(set(artists)) == len(artists) and len(set(users)) == len(users)
-                and len(streams) == len(artists) and set(map(len, streams)) == {len(users)}
-                and set(map(type, chain.from_iterable(streams))) == {int}
-                and min(map(min, streams)) >= 0 and all(map(any, zip(*streams)))):
-            return
-        for name, ids in (("artist", self.artists), ("user", self.users)):
-            for ident in ids:
-                if not isinstance(ident, str) or not ident:
-                    raise DimensionMismatch(f"every {name} identifier must be a nonempty string")
+        # Each invariant once, in a fixed order; the first fault raises.  Identifiers
+        # and rows are checked whole, and only a row that fails is read cell by cell,
+        # to name its first bad count.
+        for name, ids in (("artist", artists), ("user", users)):
+            if not all(map(isinstance, ids, repeat(str))) or not all(ids):
+                raise DimensionMismatch(f"every {name} identifier must be a nonempty string")
             if len(set(ids)) != len(ids):
                 raise DuplicateIdentifier(f"duplicate {name} identifier")
-        if not self.artists:
+        if not artists:
             raise DimensionMismatch("need at least one artist")
-        if not self.users:
+        if not users:
             raise DimensionMismatch("need at least one user")
-        if len(self.streams) != len(self.artists):
-            raise DimensionMismatch(
-                f"{len(self.artists)} artists but {len(self.streams)} matrix rows")
-        for row in self.streams:
-            if len(row) != len(self.users):
+        if len(streams) != len(artists):
+            raise DimensionMismatch(f"{len(artists)} artists but {len(streams)} matrix rows")
+        for row in streams:
+            if len(row) != len(users):
                 raise DimensionMismatch(
-                    f"{len(self.users)} users but a matrix row of length {len(row)}")
-            for cell in row:
-                if isinstance(cell, bool) or not isinstance(cell, int):
-                    raise DimensionMismatch(f"stream counts must be integers, got {cell!r}")
-                if cell < 0:
-                    raise DimensionMismatch(f"stream counts must be nonnegative, got {cell}")
-        if self.fee <= 0:
-            raise NonPositiveFee(f"fee must be positive, got {self.fee}")
-        if self.total_streams == 0:
-            raise AllZeroMatrix("every stream count is zero")
-        for j, user in enumerate(self.users):
-            if all(row[j] == 0 for row in self.streams):
-                raise EmptyUserColumn(user)
+                    f"{len(users)} users but a matrix row of length {len(row)}")
+            if set(map(type, row)) != {int} or min(row) < 0:
+                for cell in row:
+                    if isinstance(cell, bool) or not isinstance(cell, int):
+                        raise DimensionMismatch(f"stream counts must be integers, got {cell!r}")
+                    if cell < 0:
+                        raise DimensionMismatch(f"stream counts must be nonnegative, got {cell}")
+        if fee <= 0:
+            raise NonPositiveFee(f"fee must be positive, got {fee}")
+        # Counts are nonnegative now, so a matrix whose every column is nonempty has a
+        # positive total, and one whose every column is empty is all zero.
+        filled = list(map(any, zip(*streams)))
+        if not all(filled):
+            if not any(filled):
+                raise AllZeroMatrix("every stream count is zero")
+            raise EmptyUserColumn(users[filled.index(False)])
 
     @cached_property
     def _artist_position(self) -> dict[str, int]:
@@ -382,7 +376,7 @@ def new_problem(
     fee: int | str | Fraction = 1,
 ) -> StreamingProblem:
     """Build a validated streaming problem.  See :class:`StreamingProblem`."""
-    return StreamingProblem(tuple(artists), tuple(users), tuple(tuple(r) for r in streams), fee)
+    return StreamingProblem(artists, users, streams, fee)
 
 
 def reorder_users(problem: StreamingProblem, users: Sequence[str]) -> StreamingProblem:

@@ -802,6 +802,22 @@ def test_input_digit_cap_exits_2_on_every_input(tmp_path):
     assert result.stderr.decode() == f"error: fee has {CAP + 1} {CAP_MESSAGE}\n"
 
 
+def test_weights_file_digits_are_capped(tmp_path):
+    """A --weights-file weight is held to the cap, and the cap's message reaches the user."""
+    catalog, weights = tmp_path / "two.csv", tmp_path / "weights.json"
+    catalog.write_text(TWO_USER_CSV)
+    args = ("allocate", "-i", str(catalog), "--method", "weighted-file",
+            "--weights-file", str(weights), "-o", "json")
+    weights.write_text(f'{{"a": {"7" * (CAP + 1)}, "b": 1}}')
+    result = run_cli(*args)
+    assert result.returncode == EXIT_INPUT and result.stdout == b""
+    assert result.stderr.decode() == f"error: JSON number has {CAP + 1} {CAP_MESSAGE}\n"
+    weights.write_text(f'{{"a": {"7" * CAP}, "b": 1}}')
+    result = run_cli(*args)
+    assert result.returncode == 0, result.stderr.decode()
+    assert set(json.loads(result.stdout)["rewards"]) == {"1", "2"}
+
+
 # -- bad numbers on every subcommand, by property ---------------------------------
 #
 # In-process through CliRunner, so many inputs stay cheap; the subprocess table

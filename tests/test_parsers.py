@@ -301,3 +301,44 @@ def constructor_arguments(draw):
 @given(constructor_arguments())
 def test_drawn_arguments_construct_alike(arguments):
     assert_constructor_agrees(*arguments)
+
+
+# Faults planted late in a seeded 60 x 1,200 catalog, so that the first fault is
+# found only after many valid rows.  Each case: {(row, column): new count}, a new
+# last user or None, and the message of the fault named first, or None where the
+# arguments stay valid.  Case names count rows from 1 and cells from 0, so the
+# cell (58, 700) is in row 59.
+LARGE = _uniform(2, 60, 1200)
+LATE_FAULTS = {
+    "negative in row 59 before a float in row 60":
+        ({(58, 700): -3, (59, 3): 1.5}, None, "stream counts must be nonnegative, got -3"),
+    "float in row 59 before a negative in row 60":
+        ({(58, 1199): 1.5, (59, 0): -3}, None, "stream counts must be integers, got 1.5"),
+    "bool before a negative in row 60":
+        ({(59, 10): True, (59, 11): -1}, None, "stream counts must be integers, got True"),
+    "int-subclass row":
+        ({(59, j): Count(c) for j, c in enumerate(LARGE.streams[59])}, None, None),
+    "negative in an int-subclass row":
+        ({**{(59, j): Count(c) for j, c in enumerate(LARGE.streams[59])}, (59, 900): Count(-4)},
+         None, "stream counts must be nonnegative, got -4"),
+    "str-subclass last user": ({}, Name("u1199"), None),
+    "empty last column":
+        ({(i, 1199): 0 for i in range(60)}, None, "user 'u1199' has no positive stream count"),
+    "empty columns 600 and 1200":
+        ({(i, j): 0 for i in range(60) for j in (599, 1199)}, None,
+         "user 'u599' has no positive stream count"),
+    "all-zero matrix":
+        ({(i, j): 0 for i in range(60) for j in range(1200)}, None, "every stream count is zero"),
+}
+
+
+@pytest.mark.parametrize("cells, last_user, message", LATE_FAULTS.values(),
+                         ids=LATE_FAULTS.keys())
+def test_late_faults_in_a_large_catalog_construct_alike(cells, last_user, message):
+    users = [*LARGE.users[:-1], last_user or LARGE.users[-1]]
+    streams = [list(row) for row in LARGE.streams]
+    for (i, j), count in cells.items():
+        streams[i][j] = count
+    assert_constructor_agrees(LARGE.artists, users, streams, LARGE.fee)
+    got = _outcome(lambda a: new_problem(*a), (LARGE.artists, users, streams, LARGE.fee))
+    assert (got[1] if isinstance(got, tuple) else None) == message
