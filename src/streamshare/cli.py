@@ -14,7 +14,9 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from itertools import compress
+from collections.abc import Iterator
+from itertools import compress, islice, repeat
+from json.encoder import encode_basestring_ascii as _json_string
 
 import click
 
@@ -77,8 +79,52 @@ def _load_problem(path: str, format: str | None, fee: str | None) -> model.Strea
     return problem if fee is None else problem.with_fee(fee)
 
 
+# Chunks of JSON text joined into one write, so that a write holds a block of
+# the answer, not the whole of it, nor one chunk: on an unbuffered stdout every
+# write is a system call.
+_CHUNKS_PER_WRITE = 2048
+
+
 def _echo_json(payload) -> None:
-    click.echo(json.dumps(payload, indent=2))
+    """Print exactly ``json.dumps(payload, indent=2)``, a block of chunks per write.
+
+    An iterator in the payload stands for a JSON object and yields its
+    (key, value) items.  It is read while the text is written, so that
+    object is never built whole, nor is the text.
+    """
+    chunks = _json_chunks(payload, "\n")
+    while block := "".join(islice(chunks, _CHUNKS_PER_WRITE)):
+        click.echo(block, nl=False)
+    click.echo()
+
+
+def _json_chunks(value, indent: str) -> Iterator[str]:
+    """The text of ``json.dumps(value, indent=2)`` nested at ``indent``, in chunks.
+
+    ``indent`` is a newline and the spaces of the current level.  Dicts and
+    iterators of items, whose keys must be strings, are written as objects,
+    lists and tuples as arrays, strings by the encoder's own escaping;
+    json.dumps writes every other value, a number, a bool or None.
+    """
+    if isinstance(value, dict):
+        value = iter(value.items())
+    if isinstance(value, Iterator):
+        heads, brackets = ((_json_string(key) + ": ", item) for key, item in value), "{}"
+    elif isinstance(value, (list, tuple)):
+        heads, brackets = zip(repeat(""), value), "[]"
+    else:
+        yield json.dumps(value)
+        return
+    inner = indent + "  "
+    separator = brackets[0] + inner
+    for head, item in heads:
+        if isinstance(item, str):
+            yield separator + head + _json_string(item)
+        else:
+            yield separator + head
+            yield from _json_chunks(item, inner)
+        separator = "," + inner
+    yield indent + brackets[1] if separator[0] == "," else brackets
 
 
 def _strings(values: model.IndexValues | model.Allocation) -> dict[str, str]:
@@ -108,8 +154,7 @@ def _method_index(method: str, alpha: int | None, beta: int | None,
         if weights_file is None:
             raise model.ModelError("--method weighted-file requires --weights-file")
         try:
-            table = json.loads(_read_bytes(weights_file).decode("utf-8"),
-                               parse_int=model._json_int)
+            table = model._json_loads(_read_bytes(weights_file).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise model.ParseError(f"weights file is not UTF-8 JSON: {exc}") from None
         if not isinstance(table, dict):
@@ -280,7 +325,7 @@ def core_check(input_path, input_format, fee, method, alpha, beta, weights_file,
                 "flow": flow.in_core,
             },
             "blocking_coalition": blocking,
-            "decomposition": (game_mod.decomposition_to_dict(flow.decomposition)
+            "decomposition": (game_mod.decomposition_items(flow.decomposition)
                               if flow.decomposition is not None else None),
         })
         return
@@ -325,7 +370,7 @@ def game(input_path, input_format, fee, output_mode) -> None:
     dividends = game_mod.harsanyi_dividends(g)
     shape = game_mod.is_supermodular(g)
     if output_mode == "json":
-        payload = game_mod.game_to_dict(g)
+        payload = dict(game_mod.game_items(g))
         payload["dividends"] = game_mod.dividends_to_dict(dividends)["dividends"]
         payload["supermodular"] = shape.holds
         _echo_json(payload)

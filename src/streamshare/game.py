@@ -29,7 +29,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .model import (Allocation, DimensionMismatch, DuplicateIdentifier, FeeMismatch, ModelError,
                     NotInCore, StreamingProblem, TooManyPlayers, UnknownArtist, _exact_sum,
@@ -135,15 +135,30 @@ def _pairs(n: int, bit: int) -> Iterable[tuple[slice, slice]]:
             yield slice(start, start + step), slice(start - step, start)
 
 
+# Entries per block of a 2**n table: a step of the subset-sum transform copies
+# two blocks and replaces one, about 16 KB of pointers, and the JSON worths are
+# keyed a block of coalitions at a time.
+_BLOCK = 1024
+
+
 def _subset_sums(table: list, n: int, combine=operator.add) -> None:
     """Subset-sum transform over n-bit masks, in place, one bit at a time.
 
     With ``operator.add`` every entry becomes the sum of the entries of its
     subsets; with ``operator.sub`` the same pass inverts that (Moebius).
+    Each slice pair of :func:`_pairs` (the high slice is the low one moved
+    up by the bit) runs in blocks of at most ``_BLOCK`` entries, so no step
+    copies half the table and the values a step replaces are freed a block
+    at a time.
     """
     for bit in range(n):
-        for high, low in _pairs(n, bit):
-            table[high] = map(combine, table[high], table[low])
+        shift = 1 << bit
+        for _, low in _pairs(n, bit):
+            width = _BLOCK * (low.step or 1)
+            for start in range(low.start, low.stop, width):
+                stop = min(start + width, low.stop)
+                high = slice(start + shift, stop + shift, low.step)
+                table[high] = map(combine, table[high], table[start:stop:low.step])
 
 
 def streaming_game(problem: StreamingProblem) -> CoalitionalGame:
@@ -576,13 +591,43 @@ def _coalition_keys(players: tuple[str, ...], separator: str) -> list[str]:
     return keys
 
 
+def _json_dict(items: Iterable[tuple[str, object]]) -> dict:
+    """The dict of JSON items, with every iterator among the values made a dict in turn."""
+    return {key: _json_dict(value) if isinstance(value, Iterator) else value
+            for key, value in items}
+
+
+def game_items(game: CoalitionalGame) -> Iterator[tuple[str, object]]:
+    """The items of :func:`game_to_dict`, with the worths as a lazy iterator of items."""
+    yield "players", list(game.players)
+    yield "values", _worth_items(game)
+
+
+def _worth_items(game: CoalitionalGame) -> Iterator[tuple[str, str]]:
+    """Coalition key and worth of every nonempty coalition, in mask order.
+
+    Made from the integers a block of ``2**low`` masks at a time: in one
+    block the masks share their high players and run through every
+    coalition of the low ones, whose keys are joined once.
+    """
+    d, worths = game._integers
+    players = game.players
+    low = min(len(players), _BLOCK.bit_length() - 1)
+    low_keys = _coalition_keys(players[:low], ",")
+    for start in range(0, len(worths), len(low_keys)):
+        high = ",".join(_members(players[low:], start >> low))
+        keys = [high] + [key + "," + high for key in low_keys[1:]] if high else low_keys
+        block = worths[start:start + len(low_keys)]
+        text = {t: str(Fraction(t, d)) for t in set(block)}
+        items = zip(keys, map(text.__getitem__, block))
+        if not start:
+            next(items)  # the empty coalition
+        yield from items
+
+
 def game_to_dict(game: CoalitionalGame) -> dict:
     """JSON-ready dict: players plus a worth per nonempty coalition."""
-    keys = _coalition_keys(game.players, ",")
-    return {
-        "players": list(game.players),
-        "values": dict(zip(keys[1:], map(str, game.values[1:]))),
-    }
+    return _json_dict(game_items(game))
 
 
 def dividends_to_dict(table: DividendTable) -> dict:
@@ -600,13 +645,14 @@ def dividends_to_dict(table: DividendTable) -> dict:
     }
 
 
+def decomposition_items(decomposition: CoreDecomposition) -> Iterator[tuple[str, object]]:
+    """The items of :func:`decomposition_to_dict`, with the shares as a lazy iterator."""
+    yield "artists", list(decomposition.artists)
+    yield "fee", str(decomposition.fee)
+    yield "shares", ((user, list(map(str, row)))
+                     for user, row in zip(decomposition.users, decomposition.shares))
+
+
 def decomposition_to_dict(decomposition: CoreDecomposition) -> dict:
     """JSON-ready dict: per-user share vectors in artist order."""
-    return {
-        "artists": list(decomposition.artists),
-        "fee": str(decomposition.fee),
-        "shares": {
-            user: [str(x) for x in row]
-            for user, row in zip(decomposition.users, decomposition.shares)
-        },
-    }
+    return _json_dict(decomposition_items(decomposition))

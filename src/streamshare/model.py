@@ -658,12 +658,21 @@ def parse_problem(data: str | bytes, format: str) -> StreamingProblem:
     if format == "csv":
         return _parse_csv(data)
     try:
-        payload = json.loads(data, parse_int=_json_int)
+        payload = _json_loads(data)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc.msg}", line=exc.lineno, field=exc.colno) from None
     except RecursionError:
         raise ParseError("JSON nested too deeply") from None
     return problem_from_dict(payload)
+
+
+def _json_loads(text: str):
+    """``json.loads``, refusing a number over the digit cap before converting it.
+
+    A text no longer than the cap holds no number over it, so only a longer
+    text sends its integers through the Python hook :func:`_json_int`.
+    """
+    return json.loads(text, parse_int=_json_int if len(text) > MAX_INPUT_DIGITS else None)
 
 
 def _json_int(text: str) -> int:

@@ -61,6 +61,7 @@ from streamshare.game import (
     MAX_ENUMERABLE_PLAYERS,
     _amounts,
     _check_cap,
+    _coalition_keys,
     _first_violation,
     _pairs,
     _subset_sums,
@@ -535,6 +536,16 @@ def reference_subset_sums(table: list, n: int, combine=operator.add) -> None:
                 table[mask] = combine(table[mask], table[mask ^ step])
 
 
+def reference_sliced_subset_sums(table: list, n: int, combine=operator.add) -> None:
+    """The transform as it ran before its slice pairs were cut into blocks.
+
+    Each pair of :func:`_pairs` copied both of its slices whole.
+    """
+    for bit in range(n):
+        for high, low in _pairs(n, bit):
+            table[high] = map(combine, table[high], table[low])
+
+
 def reference_streaming_game(problem: StreamingProblem) -> CoalitionalGame:
     n = problem.artist_count
     if n > MAX_ENUMERABLE_PLAYERS:
@@ -1003,3 +1014,30 @@ REFERENCE_CHECKS = {
     REASONABLE_LOWER_BOUND: reference_check_reasonable_lower_bound,
     CLICK_FRAUD_PROOFNESS: reference_check_click_fraud_proofness,
 }
+
+
+# -- reference JSON dicts -------------------------------------------------------
+#
+# The worth and decomposition dicts as they were built before the CLI wrote
+# them from lazy items: every coalition key tabled at once, and the worths read
+# from the game's Fractions.  Kept unchanged as the reference for the
+# differential test of the item sources.
+
+
+def reference_game_to_dict(game: CoalitionalGame) -> dict:
+    keys = _coalition_keys(game.players, ",")
+    return {
+        "players": list(game.players),
+        "values": dict(zip(keys[1:], map(str, game.values[1:]))),
+    }
+
+
+def reference_decomposition_to_dict(decomposition: CoreDecomposition) -> dict:
+    return {
+        "artists": list(decomposition.artists),
+        "fee": str(decomposition.fee),
+        "shares": {
+            user: [str(x) for x in row]
+            for user, row in zip(decomposition.users, decomposition.shares)
+        },
+    }

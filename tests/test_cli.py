@@ -2,21 +2,27 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import streamshare
-from streamshare.cli import EXIT_INPUT, EXIT_INTERNAL, MAX_PRECISION, cli
+from streamshare.cli import (EXIT_INPUT, EXIT_INTERNAL, MAX_PRECISION, _CHUNKS_PER_WRITE,
+                             _echo_json, _json_chunks, cli)
 from streamshare.game import FlowCoreResult
 
 TWO_USER_CSV = "artist,a,b\n1,10,0\n2,0,90\n"
@@ -818,6 +824,30 @@ def test_weights_file_digits_are_capped(tmp_path):
     assert set(json.loads(result.stdout)["rewards"]) == {"1", "2"}
 
 
+def test_json_digit_hook_runs_only_in_texts_longer_than_the_cap(tmp_path, monkeypatch):
+    """A text no longer than the cap holds no number over it, so its ints skip the hook."""
+    hooked = []
+    hook = streamshare.model._json_int
+    monkeypatch.setattr(streamshare.model, "_json_int",
+                        lambda text: hooked.append(text) or hook(text))
+    catalog, weights = tmp_path / "two.csv", tmp_path / "weights.json"
+    catalog.write_text(TWO_USER_CSV)
+    base, weight_base = catalog_json("3", "2"), '{"a": 7, "b": 1}'
+    for length in (CAP - 1, CAP, CAP + 1):
+        hooked.clear()
+        problem = streamshare.parse_problem(base + " " * (length - len(base)), "json")
+        assert problem.streams == ((3, 0), (1, 2)) and problem.fee == 2
+        assert hooked == (["3", "0", "1", "2", "2"] if length > CAP else [])
+        hooked.clear()
+        weights.write_text(weight_base + "\n" * (length - len(weight_base)))
+        result = CliRunner().invoke(cli, ["allocate", "-i", str(catalog), "-o", "json",
+                                          "--method", "weighted-file", "--weights-file",
+                                          str(weights)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["rewards"] == {"1": "7/8", "2": "9/8"}
+        assert hooked == (["7", "1"] if length > CAP else [])
+
+
 # -- bad numbers on every subcommand, by property ---------------------------------
 #
 # In-process through CliRunner, so many inputs stay cheap; the subprocess table
@@ -889,3 +919,176 @@ def test_bad_numbers_exit_2_on_every_subcommand(number_paths, case, bad):
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     assert "error: " in result.stderr.lower()
+
+
+# -- JSON written in blocks ---------------------------------------------------------
+#
+# The writer must print exactly json.dumps(payload, indent=2) and a newline, with
+# the objects that arrive as iterators of items written as the dicts they stand for.
+
+
+class Lazy(list):
+    """The items of a JSON object that the writer receives as an iterator."""
+
+
+def built(spec, lazy: bool):
+    """``spec`` with each Lazy made an iterator of items (``lazy``) or a dict."""
+    if isinstance(spec, Lazy):
+        items = [(key, built(value, lazy)) for key, value in spec]
+        return iter(items) if lazy else dict(items)
+    if isinstance(spec, dict):
+        return {key: built(value, lazy) for key, value in spec.items()}
+    if isinstance(spec, (list, tuple)):
+        return type(spec)(built(value, lazy) for value in spec)
+    return spec
+
+
+JSON_TEXT = st.text()  # escapes, control characters, non-ASCII text
+JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                | st.integers(min_value=-10 ** 80, max_value=10 ** 80) | JSON_TEXT)
+JSON_SPECS = st.recursive(
+    JSON_SCALARS,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=3).map(tuple)
+                      | st.dictionaries(JSON_TEXT, children, max_size=4)
+                      | st.dictionaries(JSON_TEXT, children, max_size=4).map(
+                          lambda d: Lazy(d.items()))),
+    max_leaves=30)
+
+
+def echoed(payload, per_write: int = _CHUNKS_PER_WRITE) -> tuple[bytes, list]:
+    """What the JSON writer prints for ``payload``, and the messages of its writes."""
+    writes = []
+    echo = click.echo
+
+    def spy(message=None, **kwargs):
+        writes.append(message)
+        echo(message, **kwargs)
+
+    with mock.patch.object(click, "echo", spy), \
+            mock.patch("streamshare.cli._CHUNKS_PER_WRITE", per_write), \
+            CliRunner().isolation() as streams:
+        _echo_json(payload)
+    return streams[0].getvalue(), writes
+
+
+def assert_written_in_blocks(spec, per_write: int = _CHUNKS_PER_WRITE) -> None:
+    expected = json.dumps(built(spec, lazy=False), indent=2) + "\n"
+    out, writes = echoed(built(spec, lazy=True), per_write)
+    assert out == expected.encode()
+    chunks = len(list(_json_chunks(built(spec, lazy=True), "\n")))
+    # Every write but the closing newline joins a full block of chunks, the last one the rest.
+    assert len(writes) == -(-chunks // per_write) + 1 and writes[-1] is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_SPECS, st.sampled_from([1, 2, 3, _CHUNKS_PER_WRITE]))
+def test_json_writer_prints_json_dumps_text(spec, per_write):
+    assert_written_in_blocks(spec, per_write)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2046, 2047, 2048, 4095, 4096, 4097])
+def test_json_writer_blocks_cross_the_write_size(size):
+    """An object of string items is a chunk per item and one that closes it."""
+    items = Lazy((f"k{i}", "\u00e9\n" * (i % 3)) for i in range(size))
+    assert_written_in_blocks(items)
+    assert_written_in_blocks({"players": ["x"], "values": items, "done": True})
+
+
+# Every subcommand that reads a catalog, in its JSON form, and the property matrix.
+CATALOG_JSON_COMMANDS = [
+    ["allocate", "--method", "user-centric"],
+    ["compare", "--method", "pro-rata", "--method", "banded", "--alpha", "2", "--beta", "50"],
+    ["core-check", "--method", "pro-rata"],
+    ["core-check", "--method", "user-centric"],
+    ["game"],
+    ["game", "--fee", "7/2"],
+    ["claims", "--stage1", "cea"],
+]
+AXIOMS_JSON = ["axioms", "--budget", "3", "-o", "json"]
+
+
+@pytest.fixture(scope="module")
+def json_catalogs(tmp_path_factory):
+    """Two- and three-user catalogs, a 12-artist one whose game has four blocks of keys,
+    and a 40-artist one: the flow-only decomposition and the skipped coalition table."""
+    root = tmp_path_factory.mktemp("json")
+    texts = {"two.csv": TWO_USER_CSV, "three.csv": THREE_USER_CSV,
+             "twelve.csv": seeded_catalog_csv(seed=12, artists=12, users=80),
+             "forty.csv": seeded_catalog_csv(seed=40, artists=40, users=200)}
+    for name, text in texts.items():
+        (root / name).write_text(text)
+    return {name: str(root / name) for name in texts}
+
+
+def test_every_json_answer_is_json_dumps_text(runner, json_catalogs):
+    commands = [AXIOMS_JSON] + [[*command, "-i", catalog, "-o", "json"]
+                                for catalog in json_catalogs.values()
+                                for command in CATALOG_JSON_COMMANDS]
+    for args in commands:
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 0, (args, result.output)
+        text = json.dumps(json.loads(result.stdout_bytes), indent=2) + "\n"
+        assert result.stdout_bytes == text.encode(), args
+
+
+def streamshare_script() -> list[str]:
+    """The installed ``streamshare`` script, or the call it makes when none is on PATH."""
+    script = shutil.which("streamshare")
+    if script:
+        return [script]
+    return [sys.executable, "-c", "import sys; from streamshare.cli import main; sys.exit(main())"]
+
+
+@pytest.mark.parametrize("command", [*CATALOG_JSON_COMMANDS, None],
+                         ids=[" ".join(command) for command in CATALOG_JSON_COMMANDS] + ["axioms"])
+def test_script_prints_the_same_json(runner, json_catalogs, command):
+    """Through a real stdout, block by block, the script prints what CliRunner captures."""
+    args = AXIOMS_JSON if command is None else [*command, "-i", json_catalogs["twelve.csv"],
+                                                "-o", "json"]
+    src = str(Path(streamshare.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    script = subprocess.run([*streamshare_script(), *args], capture_output=True, env=env)
+    assert script.returncode == 0, script.stderr.decode()
+    assert script.stdout == runner.invoke(cli, args).stdout_bytes
+
+
+class CountingSink(io.TextIOBase):
+    """A stdout that keeps nothing of what is written to it, only its length."""
+
+    encoding = "utf-8"
+
+    def __init__(self):
+        self.size = 0
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+
+def test_decomposition_answer_is_written_in_bounded_memory(runner, tmp_path):
+    """A flow-only core-check of 40 artists and 600 users prints about 330 KB of JSON.
+
+    Measured at about 1.6 MiB of traced peak with the shares written a block at
+    a time, against 4.2 MiB when the whole dict and text were built.
+    """
+    path = tmp_path / "wide.csv"
+    path.write_text(seeded_catalog_csv(seed=40, artists=40, users=600))
+    args = ["core-check", "--method", "user-centric", "-i", str(path), "-o", "json"]
+    expected = runner.invoke(cli, args)
+    assert expected.exit_code == 0 and len(json.loads(expected.output)["decomposition"]
+                                           ["shares"]) == 600
+    sink = CountingSink()
+    with contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            cli.main(args, standalone_mode=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert sink.size == len(expected.output) > 300_000
+    assert peak < 2.5 * 2 ** 20

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import operator
 import pickle
 import random
 import re
@@ -42,9 +43,13 @@ from streamshare import (
 from streamshare.axioms import ProblemGenerator
 from streamshare.game import (
     MAX_ENUMERABLE_PLAYERS,
+    _BLOCK,
     _FlowNetwork,
+    _subset_sums,
+    decomposition_items,
     decomposition_to_dict,
     dividends_to_dict,
+    game_items,
     game_to_dict,
     listened_mask,
 )
@@ -54,7 +59,9 @@ from helpers import (
     perturbed_allocation,
     random_member,
     reference_decomposition_amounts,
+    reference_decomposition_to_dict,
     reference_doubling_in_core_direct,
+    reference_game_to_dict,
     reference_harsanyi_dividends,
     reference_in_core_flow,
     reference_in_core_direct,
@@ -62,6 +69,7 @@ from helpers import (
     reference_local_is_supermodular,
     reference_reconstruct_from_dividends,
     reference_scaled_streaming_game,
+    reference_sliced_subset_sums,
     reference_streaming_game,
     shapley_from_dividends,
     three_user_problem,
@@ -1005,3 +1013,72 @@ def test_direct_oracle_and_game_table_work_in_bounded_memory():
     assert result.in_core  # user-centric payouts are in the core: every mask is visited
     assert oracle_peak < 256 << 10
     assert game_peak < 1.75 * kept
+
+
+@pytest.mark.parametrize("fee", [1, F(7, 3)])
+def test_game_table_is_transformed_in_place(fee):
+    """The transform frees the values it replaces a block at a time, so the peak is the table.
+
+    At fee 1 most worths are new ints; at 7/3 every worth is, as in the pin above.
+    """
+    problem = seeded_streaming_problem(seed=16, artists=16, users=400).with_fee(fee)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        game = streaming_game(problem)
+        kept, peak = (size - start for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(game.values) == 1 << 16
+    assert peak <= 1.1 * kept
+
+
+@pytest.mark.parametrize("block", [3, 511, 512, 513, _BLOCK])
+@pytest.mark.parametrize("combine", [operator.add, operator.sub], ids=["zeta", "moebius"])
+def test_blocked_subset_sums_match_the_sliced_transform(block, combine, monkeypatch):
+    """Slice pairs run in blocks give the whole-slice transform's table.
+
+    The longest pair at n players holds 2**(n - 1) entries, so n = 0..14 runs
+    pairs shorter and longer than every block size here, and as long as 512
+    and 1,024.
+    """
+    monkeypatch.setattr("streamshare.game._BLOCK", block)
+    rng = random.Random(block)
+    for n in range(15):
+        table = [rng.randint(-10 ** 12, 10 ** 12) for _ in range(1 << n)]
+        expected = list(table)
+        reference_sliced_subset_sums(expected, n, combine)
+        _subset_sums(table, n, combine)
+        assert table == expected
+
+
+# -- JSON items: built a block at a time, one source for the dicts and the CLI -----
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 12])
+def test_game_to_dict_matches_the_tabled_keys(n):
+    """Worth keys are joined a block of 1,024 masks at a time, in mask order."""
+    rng = random.Random(n)
+    players = tuple(f"p{i}" for i in range(n))
+    game = CoalitionalGame(players, [F(0)] + [F(rng.randint(-30, 30), rng.randint(1, 4))
+                                              for _ in range((1 << n) - 1)])
+    for g in (game, streaming_game(seeded_streaming_problem(seed=n, artists=n, users=80))):
+        expected = reference_game_to_dict(g)
+        payload = game_to_dict(g)
+        assert list(payload) == list(expected) == ["players", "values"]
+        assert list(payload["values"].items()) == list(expected["values"].items())
+        assert payload == expected
+        items = dict(game_items(g))
+        assert list(items) == ["players", "values"] and items["players"] == list(g.players)
+        assert dict(items["values"]) == expected["values"]
+
+
+def test_decomposition_to_dict_matches_the_row_dict():
+    problem = seeded_streaming_problem(seed=5, artists=12, users=200)
+    decomposition = in_core_flow(problem, rewards(problem, USER_CENTRIC(problem))).decomposition
+    expected = reference_decomposition_to_dict(decomposition)
+    payload = decomposition_to_dict(decomposition)
+    assert list(payload) == list(expected) == ["artists", "fee", "shares"]
+    assert list(payload["shares"].items()) == list(expected["shares"].items())
+    items = dict(decomposition_items(decomposition))
+    assert items["fee"] == "7/3" and dict(items["shares"]) == expected["shares"]
