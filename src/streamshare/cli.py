@@ -435,6 +435,7 @@ def axioms(output_mode, seed, budget, index_names, axiom_names,
            alpha, beta) -> None:
     """Check the built-in indices against the fairness properties."""
     from . import axioms as axioms_mod
+    from . import _workers
 
     catalog = indices_mod.standard_indices(alpha, beta)
     if index_names is None:
@@ -452,19 +453,13 @@ def axioms(output_mode, seed, budget, index_names, axiom_names,
         wanted_axioms = [axioms_mod.normalize_axiom(a.strip())
                          for a in axiom_names.split(",")]
     generator = axioms_mod.ProblemGenerator(seed=seed, max_artists=6, max_users=6)
-    matrix = axioms_mod.axiom_matrix(chosen, wanted_axioms, generator, budget)
+    rows = _workers.matrix_rows(chosen, wanted_axioms, generator, budget)
     if output_mode == "json":
-        _echo_json({
-            "seed": seed,
-            "budget": budget,
-            "results": axioms_mod.matrix_to_rows(matrix),
-        })
+        _echo_json({"seed": seed, "budget": budget, "results": rows})
         return
-    rows = []
-    for (index_name, axiom_name), verdict in matrix.items():
-        rows.append([index_name, axiom_name, verdict.status.value,
-                     str(verdict.instances), verdict.detail])
-    _echo_table(["index", "property", "status", "instances", "detail"], rows)
+    _echo_table(["index", "property", "status", "instances", "detail"],
+                [[row["index"], row["axiom"], row["status"], str(row["instances"]),
+                  row["detail"]] for row in rows])
 
 
 def main() -> None:

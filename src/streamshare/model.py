@@ -666,13 +666,20 @@ def parse_problem(data: str | bytes, format: str) -> StreamingProblem:
     return problem_from_dict(payload)
 
 
+# A run of digits over the cap.  The lookbehind starts a match only where a run
+# starts, so the search is linear: without it, each digit of a long run would
+# start a scan of the rest of that run.
+_LONG_DIGIT_RUN = re.compile(f"(?<![0-9])[0-9]{{{MAX_INPUT_DIGITS + 1}}}")
+
+
 def _json_loads(text: str):
     """``json.loads``, refusing a number over the digit cap before converting it.
 
-    A text no longer than the cap holds no number over it, so only a longer
-    text sends its integers through the Python hook :func:`_json_int`.
+    Only a text with a run of more digits than the cap holds such a number,
+    so only that text sends its integers through the hook :func:`_json_int`.
     """
-    return json.loads(text, parse_int=_json_int if len(text) > MAX_INPUT_DIGITS else None)
+    long_run = len(text) > MAX_INPUT_DIGITS and _LONG_DIGIT_RUN.search(text)
+    return json.loads(text, parse_int=_json_int if long_run else None)
 
 
 def _json_int(text: str) -> int:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -30,3 +31,16 @@ def two_user():
 @pytest.fixture
 def three_user():
     return three_user_problem()
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """Set how many usable CPUs the forked workers see, each one this process may use."""
+    from streamshare import _workers
+
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]
+
+    def use(count):
+        monkeypatch.setattr(_workers, "usable_cpus", lambda: (cpus * count)[:count])
+
+    return use

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import random
 import weakref
 from collections import Counter
@@ -774,3 +775,42 @@ def test_matrix_of_a_name_reading_index_matches_the_per_cell_search():
                                reference_axiom_matrix(chosen, axioms, gen, 15))
         assert (_outcome(axiom_matrix, indices, None, gen, 15)
                 == _outcome(reference_axiom_matrix, indices, None, gen, 15))
+
+
+# -- the matrix rows in forked workers ----------------------------------------------
+
+
+def typed(value):
+    """``value`` with the type of each part beside it: a tuple read back for a list, or an
+    int for a bool, would compare equal without them."""
+    if isinstance(value, dict):
+        return dict, [(typed(key), typed(item)) for key, item in value.items()]
+    if isinstance(value, (list, tuple)):
+        return type(value), [typed(item) for item in value]
+    return type(value), value
+
+
+@pytest.mark.parametrize("indices, axioms, seeds", [
+    (CLI_INDICES, None, [0, 1, 2]),
+    ([PRO_RATA, USER_CENTRIC, PRO_RATA, EQUAL_SPLIT, USER_CENTRIC], None, [0]),
+    ([USER_CENTRIC], None, [1]),
+    (CLI_INDICES, ["rlb", CLICK_FRAUD_PROOFNESS, CORE_SELECTION, "rlb"], [2]),
+])
+def test_matrix_rows_in_workers_match_the_serial_rows(monkeypatch, usable_cpus, indices,
+                                                      axioms, seeds):
+    from streamshare import _workers
+
+    serial_calls = []
+    rows_of = _workers._rows_of
+    # A child's calls land in the child's copy of this list, so it holds the parent's only.
+    monkeypatch.setattr(_workers, "_rows_of",
+                        lambda *args: serial_calls.append(os.getpid()) or rows_of(*args))
+    for seed in seeds:
+        gen = ProblemGenerator(seed=seed, max_artists=6, max_users=6)
+        expected = typed(matrix_to_rows(axiom_matrix(indices, axioms, gen, 40)))
+        for workers in (1, 2, 3):
+            usable_cpus(workers)
+            serial_calls.clear()
+            assert typed(_workers.matrix_rows(indices, axioms, gen, 40)) == expected
+            distinct = len({index.name for index in indices})
+            assert len(serial_calls) == (1 if min(workers, distinct) == 1 else 0)

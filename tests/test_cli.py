@@ -10,6 +10,7 @@ import random
 import shutil
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -523,6 +524,40 @@ def test_axioms_table_output(runner):
     assert "homogeneity" in result.output
 
 
+@pytest.mark.parametrize("error, code, message", [
+    (streamshare.ZeroIndexSum("every artist scores zero"), EXIT_INPUT,
+     "error: every artist scores zero\n"),
+    (ValueError("six artists"), EXIT_INTERNAL, "internal error: ValueError: six artists\n"),
+])
+def test_axioms_worker_failure_exits_as_the_serial_command(monkeypatch, usable_cpus, error,
+                                                           code, message):
+    """An index that raises in a worker: the command runs serially, raises the same
+    exception with the same message and exit code, and leaves no child behind."""
+    def user_centric_unless_six_artists(problem):
+        # No reference instance has six artists, so only the search meets this.
+        if problem.artist_count == 6:
+            raise error
+        return streamshare.USER_CENTRIC(problem)
+
+    catalog = streamshare.standard_indices
+    monkeypatch.setattr(streamshare.indices, "standard_indices", lambda *args: {
+        **catalog(*args), "flaky": streamshare.Index("flaky", user_centric_unless_six_artists)})
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    args = ("axioms", "--budget", "60", "--indices", "pro-rata,flaky,user-centric,equal-split")
+    outcomes = []
+    for workers in (1, 2, 3):
+        usable_cpus(workers)
+        forks.clear()
+        for mode in ("json", "table"):
+            result = CliRunner().invoke(cli, [*args, "-o", mode])
+            outcomes.append((result.exit_code, result.stdout, result.stderr))
+        assert len(forks) == (0 if workers == 1 else 2 * workers)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert outcomes == [(code, "", message)] * 6
+
+
 # -- exit codes -------------------------------------------------------------------
 
 
@@ -571,6 +606,20 @@ def test_commands_import_only_what_they_run(two_user_csv, command, loaded):
     assert "streamshare.cli" in modules
     lazy = {"streamshare.game", "streamshare.claims", "streamshare.axioms"}
     assert modules & lazy == loaded
+
+
+def test_axioms_loads_no_process_pool_module():
+    src = str(Path(streamshare.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-c", LOADS_MODULES, "axioms", "--budget", "5"],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    modules = json.loads(result.stderr.splitlines()[-1])
+    assert {"streamshare.axioms", "streamshare._workers"} <= set(modules)
+    heavy = [name for name in modules
+             if name.split(".")[0] in ("pickle", "_pickle", "multiprocessing", "concurrent")]
+    assert heavy == []
 
 
 @pytest.mark.parametrize("name", ["game", "claims", "axioms"])
@@ -824,8 +873,10 @@ def test_weights_file_digits_are_capped(tmp_path):
     assert set(json.loads(result.stdout)["rewards"]) == {"1", "2"}
 
 
-def test_json_digit_hook_runs_only_in_texts_longer_than_the_cap(tmp_path, monkeypatch):
-    """A text no longer than the cap holds no number over it, so its ints skip the hook."""
+def test_json_digit_hook_runs_only_in_texts_with_a_digit_run_over_the_cap(tmp_path,
+                                                                          monkeypatch):
+    """Only a text with a run of more digits than the cap can hold a number over it,
+    so only such a text sends its ints through the hook, whatever its length."""
     hooked = []
     hook = streamshare.model._json_int
     monkeypatch.setattr(streamshare.model, "_json_int",
@@ -833,19 +884,50 @@ def test_json_digit_hook_runs_only_in_texts_longer_than_the_cap(tmp_path, monkey
     catalog, weights = tmp_path / "two.csv", tmp_path / "weights.json"
     catalog.write_text(TWO_USER_CSV)
     base, weight_base = catalog_json("3", "2"), '{"a": 7, "b": 1}'
-    for length in (CAP - 1, CAP, CAP + 1):
+    args = ["allocate", "-i", str(catalog), "-o", "json", "--method", "weighted-file",
+            "--weights-file", str(weights)]
+    for length in (CAP - 1, CAP, CAP + 1, 3 * CAP):
         hooked.clear()
         problem = streamshare.parse_problem(base + " " * (length - len(base)), "json")
-        assert problem.streams == ((3, 0), (1, 2)) and problem.fee == 2
-        assert hooked == (["3", "0", "1", "2", "2"] if length > CAP else [])
-        hooked.clear()
+        assert problem.streams == ((3, 0), (1, 2)) and problem.fee == 2 and hooked == []
         weights.write_text(weight_base + "\n" * (length - len(weight_base)))
-        result = CliRunner().invoke(cli, ["allocate", "-i", str(catalog), "-o", "json",
-                                          "--method", "weighted-file", "--weights-file",
-                                          str(weights)])
+        result = CliRunner().invoke(cli, args)
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["rewards"] == {"1": "7/8", "2": "9/8"}
-        assert hooked == (["7", "1"] if length > CAP else [])
+        assert hooked == []
+    for run in (CAP, CAP + 1):
+        over = run > CAP
+        # A run in a name sends every int through the hook once it is over the cap.
+        hooked.clear()
+        problem = streamshare.parse_problem(base.replace('"x"', f'"{"7" * run}"'), "json")
+        assert problem.artists[0] == "7" * run and problem.streams == ((3, 0), (1, 2))
+        assert hooked == ["3", "0", "1", "2", "2"] * over
+        # A number as long as the run converts at the cap and is refused over it.
+        hooked.clear()
+        with ints_of_any_size():
+            if over:
+                with pytest.raises(streamshare.ParseError, match=CAP_MESSAGE):
+                    streamshare.parse_problem(catalog_json("7" * run, "2"), "json")
+            else:
+                problem = streamshare.parse_problem(catalog_json("7" * run, "2"), "json")
+                assert problem.streams[0][0] == int("7" * run)
+        assert [len(number) for number in hooked] == [run] * over
+        hooked.clear()
+        weights.write_text(f'{{"a": {"7" * run}, "b": 1}}')
+        result = CliRunner().invoke(cli, args)
+        assert result.exit_code == (EXIT_INPUT if over else 0), result.output
+        assert [len(number) for number in hooked] == [run] * over
+
+
+def test_long_digit_run_search_is_linear():
+    """The pre-scan starts a match only where a run of digits starts: a text of runs one
+    digit short of a match is searched in linear time, not in time quadratic in a run."""
+    text = ",".join(["7" * CAP] * 5)
+    start = time.perf_counter()
+    assert streamshare.model._LONG_DIGIT_RUN.search(text) is None
+    assert time.perf_counter() - start < 2
+    assert streamshare.model._LONG_DIGIT_RUN.search(text + "7,1").span() == (
+        len(text) - CAP, len(text) + 1)
 
 
 # -- bad numbers on every subcommand, by property ---------------------------------
