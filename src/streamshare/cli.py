@@ -304,7 +304,7 @@ def core_check(input_path, input_format, fee, method, alpha, beta, weights_file,
     flow = game_mod.in_core_flow(problem, payout)
     direct = None
     if problem.artist_count <= game_mod.MAX_ENUMERABLE_PLAYERS:
-        direct = game_mod.in_core_direct(game_mod.streaming_game(problem), payout)
+        direct = game_mod._streaming_in_core_direct(problem, payout)
         if direct.in_core != flow.in_core:
             raise OracleDisagreement(
                 f"direct oracle says {direct.in_core}, flow oracle says {flow.in_core}")

@@ -19,16 +19,17 @@ raises TypeError.
 Every 2**n table (worths, dividends) is computed on Python integers over
 one common denominator, and games and dividend tables built here store only
 those, making their Fractions on first read.  The enumeration oracle builds
-no 2**n table of its own: it walks the masks in blocks of about 2**(n/2)
-coalition payouts.  Scaling by a positive constant changes no comparison,
-so verdicts, witnesses and values are exactly those of Fraction arithmetic.
+no 2**n table of its own: it reads the worths once, in mask order, beside
+two tables of about 2**(n/2) coalition payouts.  Scaling by a positive
+constant changes no comparison, so verdicts, witnesses and values are
+exactly those of Fraction arithmetic.
 """
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count
+from itertools import chain, compress, count, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .model import (Allocation, DimensionMismatch, DuplicateIdentifier, FeeMismatch, ModelError,
@@ -161,24 +162,65 @@ def _subset_sums(table: list, n: int, combine=operator.add) -> None:
                 table[high] = map(combine, table[high], table[start:stop:low.step])
 
 
-def streaming_game(problem: StreamingProblem) -> CoalitionalGame:
-    """Build the coalition-worth table for a streaming problem.
+# Lanes of the packed count table: (bytes, memoryview format), narrowest first.
+_LANES = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
 
-    A user pays into every coalition containing their whole listened set,
-    so the table is the subset-sum transform of the listened-set histogram
-    scaled by the fee.
+
+def _subset_sum_blocks(counts: Iterable[tuple[int, int]], n: int, total: int,
+                       scale: int) -> Iterator[list[int]]:
+    """Subset sums of (mask, count) pairs over n-bit masks, ``_BLOCK`` masks at a time.
+
+    The counts add up to at most ``total``, so no sum overflows a lane of
+    the narrowest width that holds ``total``.  A block is one int of lanes,
+    so a bit inside it is one shift, mask and add (SIMD within a register;
+    Fisher and Dietz 1998); higher bits add whole blocks.  Blocks are freed
+    as they are unpacked and scaled.  Lanes are cast in native byte order
+    and packed little-endian, so the host must be little-endian.
+    """
+    width, code = next(lane for lane in _LANES if total >> (8 * lane[0]) == 0)
+    packed = bytearray(width << n)
+    with memoryview(packed).cast(code) as lanes:
+        for mask, users in counts:
+            lanes[mask] += users
+    inner = min(n, _BLOCK.bit_length() - 1)
+    size = width << inner
+    blocks = [int.from_bytes(packed[start:start + size], "little")
+              for start in range(0, len(packed), size)]
+    del packed
+    for bit in range(inner):
+        run = width << bit
+        lanes_without_bit = int.from_bytes((b"\xff" * run + bytes(run)) * (size // run >> 1),
+                                           "little")
+        for k, table in enumerate(blocks):
+            blocks[k] = table + ((table & lanes_without_bit) << 8 * run)
+    _subset_sums(blocks, n - inner)
+    blocks.reverse()
+
+    def unpacked() -> Iterator[list[int]]:
+        while blocks:
+            block = memoryview(blocks.pop().to_bytes(size, "little")).cast(code).tolist()
+            yield block if scale == 1 else list(map(scale.__mul__, block))
+    return unpacked()
+
+
+def _streaming_worth_blocks(problem: StreamingProblem) -> Iterator[list[int]]:
+    """The streaming game's worths over ``fee.denominator``, ``_BLOCK`` masks at a time.
+
+    A user pays into every coalition containing their whole listened set.
     """
     n = problem.artist_count
     _check_cap(n, "artists")
-    fee = problem.fee
-    # The transform is linear, so counting fee.numerator per user scales it in place.
-    worths = [0] * (1 << n)
     bits = [1 << i for i in range(n)]
-    for column in zip(*problem.streams):
-        worths[sum(compress(bits, column))] += fee.numerator
-    _subset_sums(worths, n)
+    masks = (sum(compress(bits, column)) for column in zip(*problem.streams))
+    return _subset_sum_blocks(zip(masks, repeat(1)), n, problem.user_count,
+                              problem.fee.numerator)
+
+
+def streaming_game(problem: StreamingProblem) -> CoalitionalGame:
+    """Build the coalition-worth table for a streaming problem."""
+    worths = list(chain.from_iterable(_streaming_worth_blocks(problem)))
     return _trusted(CoalitionalGame, players=problem.artists,
-                    _integers=(fee.denominator, worths))
+                    _integers=(problem.fee.denominator, worths))
 
 
 @dataclass(frozen=True)
@@ -214,11 +256,14 @@ def is_supermodular(game: CoalitionalGame) -> SupermodularityResult:
     worths = game._integers[1]
     for i in range(n - 1):
         # v(S + i) - v(S) for every S without player i, in mask order: bit
-        # j > i of S is bit j - 1 of its position in this half-size table.
+        # j > i of S is bit j - 1 of its position in this half-size table, so
+        # a strided low slice starts there and a contiguous one at half its start.
         step = 1 << i
-        lacks_i = ([True] * step + [False] * step) * (1 << (n - 1 - i))
-        gains = list(map(operator.sub, compress(worths[step:], lacks_i),
-                         compress(worths, lacks_i)))
+        gains = [0] * (1 << (n - 1))
+        for high, low in _pairs(n, i):
+            at = (slice(low.start, None, step) if low.step
+                  else slice(low.start >> 1, (low.start >> 1) + step))
+            gains[at] = map(operator.sub, worths[high], worths[low])
         for j in range(i, n - 1):
             for high, low in _pairs(n - 1, j):
                 if not all(map(operator.ge, gains[high], gains[low])):
@@ -328,32 +373,44 @@ def _running_totals(units: Sequence[int]) -> list[int]:
 
 def in_core_direct(game: CoalitionalGame,
                    allocation: Allocation | Sequence[Fraction]) -> DirectCoreResult:
-    """Check core membership by enumerating every coalition.
-
-    Payouts are integers over the lcm of the game's and the allocation's
-    denominators.  Those of the coalitions of the low ceil(n/2) players and
-    of the high floor(n/2) players are tabled once each; every mask is then
-    one high coalition's payout plus one low coalition's, compared block by
-    block in increasing mask order, so nothing of size 2**n is built.
-    """
-    amounts = _amounts(allocation, game.player_count)
+    """Check core membership by enumerating every coalition."""
     d, worths = game._integers
+    return _enumerate_core(worths, d, worths[-1], _amounts(allocation, game.player_count),
+                           game.players)
+
+
+def _streaming_in_core_direct(problem: StreamingProblem,
+                              allocation: Allocation | Sequence[Fraction]) -> DirectCoreResult:
+    """:func:`in_core_direct` on the streaming game, its worths read as they are unpacked."""
+    amounts = _amounts(allocation, problem.artist_count)
+    fee = problem.fee
+    worths = chain.from_iterable(_streaming_worth_blocks(problem))
+    return _enumerate_core(worths, fee.denominator, problem.user_count * fee.numerator,
+                           amounts, problem.artists)
+
+
+def _enumerate_core(worths: Iterable[int], d: int, grand: int, amounts: Sequence[Fraction],
+                    players: tuple[str, ...]) -> DirectCoreResult:
+    """The enumeration oracle on worths ``worths[mask] / d`` read in mask order.
+
+    ``grand`` is the grand coalition's worth.  Payouts are integers over the lcm
+    of ``d`` and the allocation's denominators.  Those of the coalitions of
+    the low ceil(n/2) players and of the high floor(n/2) players are tabled
+    once each; every mask's payout is one high coalition's plus one low
+    coalition's, so nothing of size 2**n is built.
+    """
     # 1/d over the common denominator is the factor that rescales the worths.
     _, (factor, *units) = _over_common_denominator((Fraction(1, d), *amounts))
-    if sum(units) != worths[-1] * factor:
-        return DirectCoreResult(False, False, None, game.players)
+    if sum(units) != grand * factor:
+        return DirectCoreResult(False, False, None, players)
     half = (len(units) + 1) // 2
     low = _running_totals(units[:half])
-    size = len(low)
-    for start, base in zip(count(0, size), _running_totals(units[half:])):
-        floor = worths[start:start + size]
-        if factor != 1:
-            floor = map(factor.__mul__, floor)
-        paid = map(base.__add__, low)
-        blocking = next(compress(count(start), map(operator.lt, paid, floor)), None)
-        if blocking is not None:
-            return DirectCoreResult(False, True, blocking, game.players)
-    return DirectCoreResult(True, True, None, game.players)
+    paid = chain.from_iterable(map(base.__add__, low)
+                               for base in _running_totals(units[half:]))
+    if factor != 1:
+        worths = map(factor.__mul__, worths)
+    blocking = next(compress(count(), map(operator.lt, paid, worths)), None)
+    return DirectCoreResult(blocking is None, True, blocking, players)
 
 
 @dataclass(frozen=True)

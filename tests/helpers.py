@@ -790,6 +790,29 @@ def reference_local_is_supermodular(game: CoalitionalGame) -> SupermodularityRes
     return SupermodularityResult(True)
 
 
+# -- reference gains picked by flags -----------------------------------------
+
+# Shapley's pairwise test as it ran with player i's half-size gains table
+# picked out of the worths by a 2**n list of flags and a shifted copy of the
+# worths.  Kept unchanged as the reference for the differential test of the
+# gains filled from slice pairs.
+
+
+def reference_compressed_is_supermodular(game: CoalitionalGame) -> SupermodularityResult:
+    n = game.player_count
+    worths = game._integers[1]
+    for i in range(n - 1):
+        step = 1 << i
+        lacks_i = ([True] * step + [False] * step) * (1 << (n - 1 - i))
+        gains = list(map(operator.sub, compress(worths[step:], lacks_i),
+                         compress(worths, lacks_i)))
+        for j in range(i, n - 1):
+            for high, low in _pairs(n - 1, j):
+                if not all(map(operator.ge, gains[high], gains[low])):
+                    return SupermodularityResult(False, _first_violation(worths, n))
+    return SupermodularityResult(True)
+
+
 # -- reference per-cell property search ---------------------------------------
 
 # The property matrix as it ran one (index, property) cell at a time: each

@@ -10,6 +10,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +46,8 @@ from streamshare.game import (
     MAX_ENUMERABLE_PLAYERS,
     _BLOCK,
     _FlowNetwork,
+    _streaming_in_core_direct,
+    _subset_sum_blocks,
     _subset_sums,
     decomposition_items,
     decomposition_to_dict,
@@ -62,6 +65,7 @@ from helpers import (
     reference_decomposition_to_dict,
     reference_doubling_in_core_direct,
     reference_game_to_dict,
+    reference_compressed_is_supermodular,
     reference_harsanyi_dividends,
     reference_in_core_flow,
     reference_in_core_direct,
@@ -71,6 +75,7 @@ from helpers import (
     reference_scaled_streaming_game,
     reference_sliced_subset_sums,
     reference_streaming_game,
+    reference_subset_sums,
     shapley_from_dividends,
     three_user_problem,
 )
@@ -1082,3 +1087,158 @@ def test_decomposition_to_dict_matches_the_row_dict():
     assert list(payload["shares"].items()) == list(expected["shares"].items())
     items = dict(decomposition_items(decomposition))
     assert items["fee"] == "7/3" and dict(items["shares"]) == expected["shares"]
+
+
+# -- packed worths: lanes of one integer per block, read once by the oracle -----
+
+
+def packed_sums(counts: dict[int, int], n: int, total: int, scale: int = 1) -> list[int]:
+    blocks = list(_subset_sum_blocks(counts.items(), n, total, scale))
+    assert [len(block) for block in blocks] == [min(_BLOCK, 1 << n)] * max(1, (1 << n) // _BLOCK)
+    return list(chain.from_iterable(blocks))
+
+
+@pytest.mark.parametrize("total", [255, 256, 65_535, 65_536, 2 ** 32 - 1, 2 ** 32])
+@pytest.mark.parametrize("n", [1, 3, 10, 12])
+def test_packed_subset_sums_match_the_list_transform_at_every_lane_width(total, n):
+    """Totals on both sides of each lane width, up to lanes of 8 bytes.
+
+    The grand coalition sums every count, so its lane holds ``total``
+    exactly; n = 10 is one whole block and n = 12 adds whole blocks.
+    """
+    rng = random.Random(total * 100 + n)
+    counts = {0: total}
+    for _ in range(3):
+        masks = rng.sample(range(1 << n), min(1 << n, 40))
+        cuts = sorted(rng.randint(0, total) for _ in masks[1:])
+        counts = {m: b - a for m, a, b in zip(masks, [0, *cuts], [*cuts, total]) if b > a}
+        expected = [counts.get(mask, 0) for mask in range(1 << n)]
+        reference_subset_sums(expected, n)
+        assert expected[-1] == total
+        assert packed_sums(counts, n, total) == expected
+        assert packed_sums(counts, n, total, 7) == [7 * x for x in expected]
+    if total & (total + 1) == 0:  # a full lane: one more count does not fit
+        with pytest.raises(ValueError):
+            packed_sums({0: total + 1}, n, total)
+
+
+def core_check_block_path(problem, payout):
+    """The block path next to the doubling oracle on the scaled game it replaces."""
+    result = _streaming_in_core_direct(problem, payout)
+    assert result == reference_doubling_in_core_direct(
+        reference_scaled_streaming_game(problem), payout)
+    return result
+
+
+@pytest.mark.parametrize("fee", [F(1), F(7, 3), F(1, 2), F(5)])
+def test_core_check_block_path_matches_the_doubling_code(fee):
+    rng = random.Random(f"blocks {fee}")
+    verdicts = Counter()
+    for n in range(1, 13):
+        for seed in range(2):
+            problem = seeded_streaming_problem(seed=200 * n + seed, artists=n,
+                                               users=rng.randint(1, 300)).with_fee(fee)
+            member = random_member(problem, rng)
+            off_total = list(member)
+            off_total[rng.randrange(n)] -= F(1, rng.randint(1, 9))
+            for amounts in (member, rewards(problem, USER_CENTRIC(problem)),
+                            rewards(problem, PRO_RATA(problem)),
+                            perturbed_allocation(problem, rng), off_total,
+                            signed_payout(member, rng)):
+                result = core_check_block_path(problem, amounts)
+                verdicts[result.in_core, result.efficient] += 1
+    assert verdicts[True, True] >= 40 and verdicts[False, True] >= 20
+    assert verdicts[False, False] >= 24
+
+
+def blocked_streaming_problem(mask: int, n: int, fee: Fraction, inside: bool):
+    """A streaming problem and payout whose smallest blocking coalition is ``mask``.
+
+    Every artist has a user of their own, and one more user streams exactly
+    ``mask``.  Each artist is paid one fee, and the extra fee goes to an
+    artist outside ``mask``: every smaller mask then lacks some artist of
+    ``mask``, so it holds only users of its own and is paid their fees, while
+    ``mask`` holds one user more than it is paid for.  With ``inside`` the
+    extra fee goes to an artist in ``mask`` instead, and the payout is stable.
+    """
+    members = [i for i in range(n) if mask >> i & 1]
+    paid_more = members[-1] if inside else min(set(range(n)) - set(members))
+    streams = [[int(i == j) for j in range(n)] + [mask >> i & 1] for i in range(n)]
+    problem = new_problem([f"a{i}" for i in range(n)], [f"u{j}" for j in range(n + 1)],
+                          streams, fee=fee)
+    payout = [fee * (1 + (i == paid_more)) for i in range(n)]
+    return problem, payout
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_core_check_block_path_finds_blocking_masks_at_block_edges(n):
+    """The first and last mask of every unpacked block and of every block of
+    low coalitions, mask 1 and 2**n - 2, at four fees."""
+    full = (1 << n) - 1
+    edges = {s + d for s in range(0, full + 1, _BLOCK) for d in (-1, 0)}
+    targets = {m for m in block_boundaries(n) | edges if 0 < m < full}
+    assert {1, full - 1} <= targets or n == 1
+    for fee in (F(1), F(7, 3), F(1, 2), F(5)):
+        for mask in sorted(targets):
+            problem, payout = blocked_streaming_problem(mask, n, fee, inside=False)
+            result = core_check_block_path(problem, payout)
+            assert (result.in_core, result.efficient, result.blocking_mask) == (False, True, mask)
+            problem, payout = blocked_streaming_problem(mask, n, fee, inside=True)
+            result = core_check_block_path(problem, payout)
+            assert (result.in_core, result.efficient, result.blocking_mask) == (True, True, None)
+
+
+def test_core_check_block_path_holds_no_worth_table():
+    """At 16 artists and 400 users the packed lanes are 128 KiB, and the
+    tabled game the path replaces held 594 KiB at fee 1 and 2,293 KiB at 7/3."""
+    for fee in (1, F(7, 3)):
+        problem = seeded_streaming_problem(seed=16, artists=16, users=400).with_fee(fee)
+        payout = rewards(problem, USER_CENTRIC(problem))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = _streaming_in_core_direct(problem, payout)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert result.in_core  # every mask is read
+        assert peak < 3 * (2 << 16)
+
+
+def signed_games(seed: int, count: int):
+    """Seeded 8-10 player games from dividends of either sign, a few per coalition size."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(8, 10)
+        dividends = {mask: F(rng.randint(-6, 9), rng.randint(1, 3))
+                     for mask in rng.sample(range(1, 1 << n), 40)}
+        yield reconstruct_from_dividends(dividends, tuple(f"p{i}" for i in range(n)))
+
+
+def test_supermodularity_gains_from_slices_match_the_flagged_gains():
+    verdicts = Counter()
+    games = [*arbitrary_games(seed=93, count=120), *games_with_negative_dividends(94, 120),
+             *signed_games(95, 40)]
+    for problem in ProblemGenerator(seed=96, max_artists=10, max_users=12).sample(20):
+        games.append(streaming_game(problem))
+    for game in games:
+        result = is_supermodular(game)
+        assert result == reference_compressed_is_supermodular(game)
+        verdicts[result.holds] += 1
+    assert verdicts[True] >= 60 and verdicts[False] >= 60
+
+
+def test_supermodularity_check_builds_no_flag_list():
+    """The 16-artist check at fee 7/3 peaked at 3,226 KiB with a 2**16 flag list
+    and a shifted copy of the worths beside its gains; filled from slice pairs
+    its largest transient is a quarter table."""
+    game = streaming_game(seeded_streaming_problem(seed=16, artists=16, users=400))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = is_supermodular(game)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert result.holds
+    assert peak < 2.5 * (1 << 20)
