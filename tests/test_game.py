@@ -1107,11 +1107,12 @@ def test_packed_subset_sums_match_the_list_transform_at_every_lane_width(total, 
     exactly; n = 10 is one whole block and n = 12 adds whole blocks.
     """
     rng = random.Random(total * 100 + n)
-    counts = {0: total}
+    tables = [{0: total}]
     for _ in range(3):
         masks = rng.sample(range(1 << n), min(1 << n, 40))
         cuts = sorted(rng.randint(0, total) for _ in masks[1:])
-        counts = {m: b - a for m, a, b in zip(masks, [0, *cuts], [*cuts, total]) if b > a}
+        tables.append({m: b - a for m, a, b in zip(masks, [0, *cuts], [*cuts, total]) if b > a})
+    for counts in tables:
         expected = [counts.get(mask, 0) for mask in range(1 << n)]
         reference_subset_sums(expected, n)
         assert expected[-1] == total
