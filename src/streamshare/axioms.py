@@ -288,7 +288,7 @@ def check_click_fraud_proofness(index: Index, problem: StreamingProblem,
 def check_core_selection(index: Index, problem: StreamingProblem) -> AxiomVerdict:
     """The index's payout must be stable against every artist coalition."""
     payout = rewards(problem, index(problem))
-    verdict = game_mod.in_core_direct(game_mod.streaming_game(problem), payout)
+    verdict = game_mod._streaming_in_core_direct(problem, payout)
     if verdict.in_core:
         return _pass(CORE_SELECTION, index)
     coalition = verdict.blocking_coalition

@@ -15,7 +15,7 @@ import functools
 import json
 import sys
 from collections.abc import Iterator
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat, starmap
 from json.encoder import encode_basestring_ascii as _json_string
 
 import click
@@ -79,10 +79,16 @@ def _load_problem(path: str, format: str | None, fee: str | None) -> model.Strea
     return problem if fee is None else problem.with_fee(fee)
 
 
-# Chunks of JSON text joined into one write, so that a write holds a block of
+# Chunks of text joined into one write, so that a write holds a block of
 # the answer, not the whole of it, nor one chunk: on an unbuffered stdout every
 # write is a system call.
 _CHUNKS_PER_WRITE = 2048
+
+
+def _echo_blocks(chunks) -> None:
+    while block := "".join(islice(chunks, _CHUNKS_PER_WRITE)):
+        click.echo(block, nl=False)
+    click.echo()
 
 
 def _echo_json(payload) -> None:
@@ -92,10 +98,7 @@ def _echo_json(payload) -> None:
     (key, value) items.  It is read while the text is written, so that
     object is never built whole, nor is the text.
     """
-    chunks = _json_chunks(payload, "\n")
-    while block := "".join(islice(chunks, _CHUNKS_PER_WRITE)):
-        click.echo(block, nl=False)
-    click.echo()
+    _echo_blocks(_json_chunks(payload, "\n"))
 
 
 def _json_chunks(value, indent: str) -> Iterator[str]:
@@ -132,16 +135,11 @@ def _strings(values: model.IndexValues | model.Allocation) -> dict[str, str]:
     return {a: str(x) for a, x in values.as_dict().items()}
 
 
-def _echo_table(headers: list[str], rows: list[list[str]]) -> None:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for k, cell in enumerate(row):
-            widths[k] = max(widths[k], len(cell))
+def _echo_table(headers: list[str], rows, widest=None) -> None:
+    widths = [max(map(len, column)) for column in zip(headers, *([widest] if widest else rows))]
     fmt = "  ".join(f"{{:<{w}}}" for w in widths)
-    click.echo(fmt.format(*headers))
-    click.echo(fmt.format(*("-" * w for w in widths)))
-    for row in rows:
-        click.echo(fmt.format(*row))
+    lines = starmap(("\n" + fmt).format, chain([["-" * w for w in widths]], rows))
+    _echo_blocks(chain([fmt.format(*headers)], lines))
 
 
 def _method_index(method: str, alpha: int | None, beta: int | None,
@@ -367,21 +365,21 @@ def game(input_path, input_format, fee, output_mode) -> None:
             click.echo(f"coalition table skipped: {exc}")
             click.echo("core checks remain available in flow-only mode")
         return
-    dividends = game_mod.harsanyi_dividends(g)
     shape = game_mod.is_supermodular(g)
+    sep = "," if output_mode == "json" else ", "
+    dividends = {sep.join(g.coalition_members(mask)): str(users * problem.fee)
+                 for mask, users in game_mod._listened_sets(problem)}
     if output_mode == "json":
-        payload = dict(game_mod.game_items(g))
-        payload["dividends"] = game_mod.dividends_to_dict(dividends)["dividends"]
-        payload["supermodular"] = shape.holds
-        _echo_json(payload)
+        _echo_json(dict(game_mod.game_items(g), dividends=dividends, supermodular=shape.holds))
         return
-    keys = game_mod._coalition_keys(g.players, ", ")
-    rows = [[key, str(value)] for key, value in zip(keys[1:], g.values[1:])]
-    _echo_table(["coalition", "worth"], rows)
-    click.echo("")
-    div_rows = [[keys[mask], str(value)] for mask, value in dividends.nonzero()]
-    _echo_table(["coalition", "dividend"], div_rows or [["(none)", "0"]])
-    click.echo("")
+    from fractions import Fraction
+
+    d, worths = g._integers
+    widest = sep.join(g.players), max((str(Fraction(t, d)) for t in set(worths)), key=len)
+    _echo_table(["coalition", "worth"], game_mod._worth_items(g, sep), widest)
+    click.echo()
+    _echo_table(["coalition", "dividend"], dividends.items())
+    click.echo()
     click.echo(f"supermodular: {'yes' if shape.holds else 'NO'}")
 
 

@@ -27,9 +27,10 @@ exactly those of Fraction arithmetic.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, count
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .model import (Allocation, DimensionMismatch, DuplicateIdentifier, FeeMismatch, ModelError,
@@ -203,6 +204,12 @@ def _subset_sum_blocks(counts: Iterable[tuple[int, int]], n: int, total: int,
     return unpacked()
 
 
+def _listened_sets(problem: StreamingProblem) -> list[tuple[int, int]]:
+    """(mask, users) of every listened set in mask order: users * fee is its Harsanyi dividend."""
+    bits = [1 << i for i in range(problem.artist_count)]
+    return sorted(Counter(sum(compress(bits, column)) for column in zip(*problem.streams)).items())
+
+
 def _streaming_worth_blocks(problem: StreamingProblem) -> Iterator[list[int]]:
     """The streaming game's worths over ``fee.denominator``, ``_BLOCK`` masks at a time.
 
@@ -210,9 +217,7 @@ def _streaming_worth_blocks(problem: StreamingProblem) -> Iterator[list[int]]:
     """
     n = problem.artist_count
     _check_cap(n, "artists")
-    bits = [1 << i for i in range(n)]
-    masks = (sum(compress(bits, column)) for column in zip(*problem.streams))
-    return _subset_sum_blocks(zip(masks, repeat(1)), n, problem.user_count,
+    return _subset_sum_blocks(_listened_sets(problem), n, problem.user_count,
                               problem.fee.numerator)
 
 
@@ -660,7 +665,7 @@ def game_items(game: CoalitionalGame) -> Iterator[tuple[str, object]]:
     yield "values", _worth_items(game)
 
 
-def _worth_items(game: CoalitionalGame) -> Iterator[tuple[str, str]]:
+def _worth_items(game: CoalitionalGame, separator: str = ",") -> Iterator[tuple[str, str]]:
     """Coalition key and worth of every nonempty coalition, in mask order.
 
     Made from the integers a block of ``2**low`` masks at a time: in one
@@ -670,10 +675,10 @@ def _worth_items(game: CoalitionalGame) -> Iterator[tuple[str, str]]:
     d, worths = game._integers
     players = game.players
     low = min(len(players), _BLOCK.bit_length() - 1)
-    low_keys = _coalition_keys(players[:low], ",")
+    low_keys = _coalition_keys(players[:low], separator)
     for start in range(0, len(worths), len(low_keys)):
-        high = ",".join(_members(players[low:], start >> low))
-        keys = [high] + [key + "," + high for key in low_keys[1:]] if high else low_keys
+        high = separator.join(_members(players[low:], start >> low))
+        keys = [high] + [key + separator + high for key in low_keys[1:]] if high else low_keys
         block = worths[start:start + len(low_keys)]
         text = {t: str(Fraction(t, d)) for t in set(block)}
         items = zip(keys, map(text.__getitem__, block))

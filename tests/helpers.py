@@ -38,6 +38,8 @@ from streamshare import (
     CoreDecomposition,
     as_rational,
     cea_awards,
+    harsanyi_dividends,
+    is_supermodular,
     new_problem,
 )
 from streamshare.axioms import (
@@ -1064,3 +1066,29 @@ def reference_decomposition_to_dict(decomposition: CoreDecomposition) -> dict:
             for user, row in zip(decomposition.users, decomposition.shares)
         },
     }
+
+
+def reference_game_table(game: CoalitionalGame) -> str:
+    """The table-mode text of ``streamshare game`` as it was printed from whole tables.
+
+    Every coalition key and every worth ``Fraction`` is built first, the
+    column widths are measured from the rows, and the dividends come from
+    the Moebius transform of the worths.
+    """
+    def table(headers: list[str], rows: list[list[str]]) -> list[str]:
+        widths = [len(h) for h in headers]
+        for row in rows:
+            for k, cell in enumerate(row):
+                widths[k] = max(widths[k], len(cell))
+        fmt = "  ".join(f"{{:<{w}}}" for w in widths)
+        return ([fmt.format(*headers), fmt.format(*("-" * w for w in widths))]
+                + [fmt.format(*row) for row in rows])
+
+    keys = _coalition_keys(game.players, ", ")
+    rows = [[key, str(value)] for key, value in zip(keys[1:], game.values[1:])]
+    dividends = harsanyi_dividends(game)
+    div_rows = [[keys[mask], str(value)] for mask, value in dividends.nonzero()]
+    lines = (table(["coalition", "worth"], rows) + [""]
+             + table(["coalition", "dividend"], div_rows or [["(none)", "0"]])
+             + ["", f"supermodular: {'yes' if is_supermodular(game).holds else 'NO'}"])
+    return "\n".join(lines) + "\n"

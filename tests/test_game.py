@@ -46,6 +46,7 @@ from streamshare.game import (
     MAX_ENUMERABLE_PLAYERS,
     _BLOCK,
     _FlowNetwork,
+    _listened_sets,
     _streaming_in_core_direct,
     _subset_sum_blocks,
     _subset_sums,
@@ -244,6 +245,16 @@ def test_dividends_match_histogram_generated():
         for mask in range(1 << problem.artist_count):
             assert dv.of(mask) == hist.get(mask, 0) * problem.fee
         assert reconstruct_from_dividends(dv).values == g.values
+
+
+@pytest.mark.parametrize("fee", [F(1), F(7, 3), F(1, 2), F(5)])
+def test_listened_sets_are_the_user_histogram(fee):
+    problems = [seeded_streaming_problem(seed=31, artists=12, users=300)]
+    problems += ProblemGenerator(seed=31, max_artists=8, max_users=9).sample(40)
+    for problem in problems:
+        problem = problem.with_fee(fee)
+        hist = Counter(listened_mask(problem, u) for u in problem.users)
+        assert _listened_sets(problem) == sorted(hist.items())
 
 
 def test_dividends_nonzero_listing(two_user):
