@@ -5,13 +5,16 @@ either a readable table or machine-ready JSON.  Exact rationals appear as
 'p/q' strings in JSON mode and as rounded decimals in table mode, at any
 number of digits.
 
-Exit codes: 0 for success (including reports of failed properties), 2 for
-bad input (any ModelError, or a file that cannot be read), 3 for anything
-else, such as the two core oracles disagreeing.
+Exit codes: 0 for success (including reports of failed properties), 1 when
+the output is closed before the answer is written, 2 for bad input (any
+ModelError, or a file that cannot be read), 3 for anything else, such as the
+two core oracles disagreeing.
 """
 from __future__ import annotations
 
+import atexit
 import functools
+import gc
 import json
 import sys
 from collections.abc import Iterator
@@ -36,7 +39,11 @@ class OracleDisagreement(RuntimeError):
 
 
 def _guarded(fn):
-    """Map input errors to exit code 2 and every other exception to exit code 3."""
+    """Map input errors to exit code 2 and every other exception to exit code 3.
+
+    A closed output is left to click, which exits 1 and keeps the flush at
+    shutdown from failing again.
+    """
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -46,6 +53,9 @@ def _guarded(fn):
             sys.set_int_max_str_digits(0)
         try:
             return fn(*args, **kwargs)
+        except BrokenPipeError:
+            click.echo("error: the output was closed before the answer was written", err=True)
+            raise
         except (model.ModelError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_INPUT)
@@ -461,6 +471,8 @@ def axioms(output_mode, seed, budget, index_names, axiom_names,
 
 
 def main() -> None:
+    # Once the answer is written, freeze what is left: shutdown's collections skip it.
+    atexit.register(gc.freeze)
     cli(prog_name="streamshare")
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -30,7 +31,7 @@ from streamshare.cli import (EXIT_INPUT, EXIT_INTERNAL, MAX_PRECISION, _CHUNKS_P
 from streamshare.game import FlowCoreResult, dividends_to_dict
 from streamshare.model import problem_to_dict
 
-from helpers import reference_game_table
+from helpers import reference_game_table, reference_has_long_digit_run
 
 TWO_USER_CSV = "artist,a,b\n1,10,0\n2,0,90\n"
 THREE_USER_CSV = "artist,a,b,c\n1,10,0,5\n2,0,90,35\n"
@@ -1251,3 +1252,126 @@ def test_game_table_is_written_in_blocks_and_bounded_memory(runner, tmp_path):
     assert sink.size == len(expected.output)
     assert sink.writes < 64
     assert peak < 6 * 2 ** 20
+
+
+# -- the digit-run pre-scan ---------------------------------------------------------
+
+
+def test_digit_run_pre_scan_agrees_with_the_full_search():
+    """A run over the cap covers two consecutive multiples of the stride, so the pre-scan
+    clears only texts that the full search clears too.  Runs of cap - 1 to 2 * cap digits
+    start at and around the stride points, between fillers with and without digits."""
+    stride = streamshare.model._DIGIT_STRIDE
+    rng = random.Random(29)
+    found = []
+    for _ in range(300):
+        start = max(0, stride * rng.randrange(4) + rng.randint(-3, 3))
+        run = rng.choice([CAP - 1, CAP, CAP + 1, CAP + 2, 2 * CAP - 1, 2 * CAP,
+                          rng.randint(CAP - 1, 2 * CAP)])
+        filler = "".join(rng.choices(rng.choice([" ,\n", "0123456789 ,x", "7,٣"]), k=97))
+        text = (filler * (start // 97 + 1))[:start] + "x" + "7" * run + "x" + filler * 3
+        found.append(reference_has_long_digit_run(text))
+        assert streamshare.model._has_long_digit_run(text) is found[-1], (start, run, filler)
+    assert 100 < sum(found) < 250
+
+
+def test_digit_run_pre_scan_skips_the_search_without_a_digit_pair(monkeypatch):
+    """The full search runs only when two consecutive stride points hold digits."""
+    searched = []
+    search = streamshare.model._LONG_DIGIT_RUN.search
+    monkeypatch.setattr(streamshare.model, "_LONG_DIGIT_RUN",
+                        mock.Mock(search=lambda text: searched.append(len(text)) or search(text)))
+    stride = streamshare.model._DIGIT_STRIDE
+    text = list(catalog_json("3", "2").ljust(3 * CAP))
+    assert not streamshare.model._has_long_digit_run("".join(text)) and searched == []
+    text[stride] = text[2 * stride] = "7"
+    assert not streamshare.model._has_long_digit_run("".join(text)) and searched == [3 * CAP]
+
+
+# -- process exit -------------------------------------------------------------------
+
+
+def run_python(code: str, *args: str, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports streamshare from this checkout."""
+    src = str(Path(streamshare.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          env=env, **kwargs)
+
+
+# atexit runs its handlers last in, first out: this probe, registered before main(), runs
+# after the freeze that main() registers.
+FREEZE_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: print("gc", gc.get_freeze_count(), len(gc.get_objects()),
+                              file=sys.stderr))
+from streamshare.cli import main
+main()
+"""
+
+
+@pytest.mark.parametrize("args, code", [
+    (("--help",), 0),
+    (("allocate", "-i", "{csv}", "--method", "pro-rata"), 0),
+    (("core-check", "-i", "{csv}", "--method", "user-centric"), 0),
+    (("axioms", "--budget", "5"), 0),
+    (("allocate", "-i", "{missing}"), EXIT_INPUT),
+    (("allocate", "-i", "{csv}", "--no-such-option"), 2),
+], ids=["help", "allocate", "core-check", "axioms", "bad-input", "usage-error"])
+def test_heap_is_frozen_at_exit(two_user_csv, tmp_path, args, code):
+    """Once the command has ended, main()'s atexit hook moves every object still alive into
+    the permanent generation, so the collections CPython runs while it shuts down walk none
+    of them.  Forked axioms workers end in os._exit, so the probe prints once."""
+    paths = {"csv": two_user_csv, "missing": str(tmp_path / "missing.csv")}
+    result = run_python(FREEZE_PROBE, *(arg.format(**paths) for arg in args), text=True)
+    assert result.returncode == code, result.stderr
+    probes = [line.split() for line in result.stderr.splitlines() if line.startswith("gc ")]
+    assert len(probes) == 1, result.stderr
+    frozen, tracked = map(int, probes[0][1:])
+    assert frozen > 10_000 and tracked == 0
+    assert "Traceback" not in result.stderr
+
+
+NEVER_FROZEN = """
+import gc, json, sys
+import streamshare, streamshare.cli
+from click.testing import CliRunner
+for args in json.loads(sys.argv[1]):
+    result = CliRunner().invoke(streamshare.cli.cli, args)
+    assert result.exit_code == 0, (args, result.output)
+assert gc.get_freeze_count() == 0 and gc.isenabled()
+"""
+
+
+def test_importing_and_invoking_never_freeze(runner, two_user_csv):
+    """Only main() freezes: the library and CliRunner runs of every subcommand leave the
+    collector running, with nothing frozen."""
+    commands = [[name, "-i", two_user_csv, "-o", "json"]
+                for name in ("allocate", "compare", "core-check", "game", "claims")]
+    commands.append(["axioms", "--budget", "3", "-o", "json"])
+    result = run_python(NEVER_FROZEN, json.dumps(commands), text=True)
+    assert result.returncode == 0, result.stderr
+    for args in commands:
+        assert invoke(runner, *args).exit_code == 0, args
+    assert gc.get_freeze_count() == 0 and gc.isenabled()
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_output_exits_1_without_traceback(tmp_path, unbuffered):
+    """A reader that closes the output early ends the command with exit code 1 and one
+    line on stderr.  The answer, about 330 KB, is larger than the 64 KiB pipe buffer, so
+    the command is still writing when the reader goes."""
+    path = tmp_path / "wide.csv"
+    path.write_text(seeded_catalog_csv(seed=40, artists=40, users=600))
+    src = str(Path(streamshare.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    args = ["core-check", "--method", "user-centric", "-i", str(path), "-o", "json"]
+    with subprocess.Popen([sys.executable, "-m", "streamshare.cli", *args], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as process:
+        assert process.stdout.read(10) == b'{\n  "metho'
+        process.stdout.close()
+        stderr = process.stderr.read().decode()
+        assert process.wait(timeout=60) == 1, stderr
+    assert stderr == "error: the output was closed before the answer was written\n"
