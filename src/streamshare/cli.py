@@ -39,11 +39,7 @@ class OracleDisagreement(RuntimeError):
 
 
 def _guarded(fn):
-    """Map input errors to exit code 2 and every other exception to exit code 3.
-
-    A closed output is left to click, which exits 1 and keeps the flush at
-    shutdown from failing again.
-    """
+    """Map input errors to exit code 2 and every other exception to exit code 3."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -471,7 +467,6 @@ def axioms(output_mode, seed, budget, index_names, axiom_names,
 
 
 def main() -> None:
-    # Once the answer is written, freeze what is left: shutdown's collections skip it.
     atexit.register(gc.freeze)
     cli(prog_name="streamshare")
 

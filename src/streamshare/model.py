@@ -670,17 +670,6 @@ def parse_problem(data: str | bytes, format: str) -> StreamingProblem:
 # starts, so the search is linear: without it, each digit of a long run would
 # start a scan of the rest of that run.
 _LONG_DIGIT_RUN = re.compile(f"(?<![0-9])[0-9]{{{MAX_INPUT_DIGITS + 1}}}")
-# Such a run covers two consecutive multiples of this stride.
-_DIGIT_STRIDE = (MAX_INPUT_DIGITS + 1) // 2
-
-
-def _has_long_digit_run(text: str) -> bool:
-    """Whether ``text`` holds a run of more ASCII digits than the cap.
-
-    Only a text whose characters at two consecutive multiples of the stride
-    are both digits can hold one, so any other text is not searched.
-    """
-    return bool(re.search("[0-9]{2}", text[::_DIGIT_STRIDE]) and _LONG_DIGIT_RUN.search(text))
 
 
 def _json_loads(text: str):
@@ -689,7 +678,8 @@ def _json_loads(text: str):
     Only a text with a run of more digits than the cap holds such a number,
     so only that text sends its integers through the hook :func:`_json_int`.
     """
-    return json.loads(text, parse_int=_json_int if _has_long_digit_run(text) else None)
+    long_run = len(text) > MAX_INPUT_DIGITS and _LONG_DIGIT_RUN.search(text)
+    return json.loads(text, parse_int=_json_int if long_run else None)
 
 
 def _json_int(text: str) -> int:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import functools
 import operator
 import random
-import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, compress, count, islice
@@ -72,7 +71,6 @@ from streamshare.game import (
 )
 from streamshare.indices import Index, rewards
 from streamshare.model import (
-    MAX_INPUT_DIGITS,
     _over_common_denominator,
     _trusted,
     problem_to_dict,
@@ -377,15 +375,6 @@ def reference_problem_from_dict(data: Mapping) -> StreamingProblem:
                 raise ParseError(f"stream counts must be integers, got {cell!r}")
     fee = as_rational(data.get("fee", 1), "fee", ParseError)
     return reference_new_problem(artists, users, streams, fee)
-
-
-_REFERENCE_LONG_DIGIT_RUN = re.compile(f"(?<![0-9])[0-9]{{{MAX_INPUT_DIGITS + 1}}}")
-
-
-def reference_has_long_digit_run(text: str) -> bool:
-    """Whether ``text`` holds a run of more ASCII digits than the cap: one linear search
-    of every text longer than the cap, with no pre-scan."""
-    return len(text) > MAX_INPUT_DIGITS and bool(_REFERENCE_LONG_DIGIT_RUN.search(text))
 
 
 def reference_parse_csv(text: str) -> StreamingProblem:

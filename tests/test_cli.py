@@ -31,7 +31,7 @@ from streamshare.cli import (EXIT_INPUT, EXIT_INTERNAL, MAX_PRECISION, _CHUNKS_P
 from streamshare.game import FlowCoreResult, dividends_to_dict
 from streamshare.model import problem_to_dict
 
-from helpers import reference_game_table, reference_has_long_digit_run
+from helpers import reference_game_table
 
 TWO_USER_CSV = "artist,a,b\n1,10,0\n2,0,90\n"
 THREE_USER_CSV = "artist,a,b,c\n1,10,0,5\n2,0,90,35\n"
@@ -1252,40 +1252,6 @@ def test_game_table_is_written_in_blocks_and_bounded_memory(runner, tmp_path):
     assert sink.size == len(expected.output)
     assert sink.writes < 64
     assert peak < 6 * 2 ** 20
-
-
-# -- the digit-run pre-scan ---------------------------------------------------------
-
-
-def test_digit_run_pre_scan_agrees_with_the_full_search():
-    """A run over the cap covers two consecutive multiples of the stride, so the pre-scan
-    clears only texts that the full search clears too.  Runs of cap - 1 to 2 * cap digits
-    start at and around the stride points, between fillers with and without digits."""
-    stride = streamshare.model._DIGIT_STRIDE
-    rng = random.Random(29)
-    found = []
-    for _ in range(300):
-        start = max(0, stride * rng.randrange(4) + rng.randint(-3, 3))
-        run = rng.choice([CAP - 1, CAP, CAP + 1, CAP + 2, 2 * CAP - 1, 2 * CAP,
-                          rng.randint(CAP - 1, 2 * CAP)])
-        filler = "".join(rng.choices(rng.choice([" ,\n", "0123456789 ,x", "7,٣"]), k=97))
-        text = (filler * (start // 97 + 1))[:start] + "x" + "7" * run + "x" + filler * 3
-        found.append(reference_has_long_digit_run(text))
-        assert streamshare.model._has_long_digit_run(text) is found[-1], (start, run, filler)
-    assert 100 < sum(found) < 250
-
-
-def test_digit_run_pre_scan_skips_the_search_without_a_digit_pair(monkeypatch):
-    """The full search runs only when two consecutive stride points hold digits."""
-    searched = []
-    search = streamshare.model._LONG_DIGIT_RUN.search
-    monkeypatch.setattr(streamshare.model, "_LONG_DIGIT_RUN",
-                        mock.Mock(search=lambda text: searched.append(len(text)) or search(text)))
-    stride = streamshare.model._DIGIT_STRIDE
-    text = list(catalog_json("3", "2").ljust(3 * CAP))
-    assert not streamshare.model._has_long_digit_run("".join(text)) and searched == []
-    text[stride] = text[2 * stride] = "7"
-    assert not streamshare.model._has_long_digit_run("".join(text)) and searched == [3 * CAP]
 
 
 # -- process exit -------------------------------------------------------------------
