@@ -318,8 +318,11 @@ def streaming_to_claims(problem: StreamingProblem) -> MultiIssueClaims:
     a validated problem are nonnegative integers with a positive total per
     user, so solvency is the only check left to make.
     """
-    columns = tuple(zip(*problem.streams))
-    sums = list(map(sum, columns))
+    # One column at a time, so the transpose of a wide catalog is never held whole.
+    sums, supports = [], []
+    for column in zip(*problem.streams):
+        sums.append(sum(column))
+        supports.append(tuple(compress(count(), column)))
     total = Fraction(sum(sums))
     revenue = problem.revenue
     _require_solvent(total, revenue)
@@ -327,7 +330,7 @@ def streaming_to_claims(problem: StreamingProblem) -> MultiIssueClaims:
     return _trusted(MultiIssueClaims, agents=problem.artists, issues=problem.users,
                     claims=tuple(tuple(map(made.__getitem__, row)) for row in problem.streams),
                     endowment=revenue, _issue_totals=_fractions(sums, 1), _total=total,
-                    _supports=_nonzero_positions(columns))
+                    _supports=tuple(supports))
 
 
 def streaming_to_bankruptcy(problem: StreamingProblem) -> BankruptcyProblem:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -532,6 +534,24 @@ def test_streaming_to_claims_matches_the_public_constructor():
     thin = new_problem(["1"], ["a", "b"], [[1, 1]], fee=2)
     with pytest.raises(InvalidProblem, match=r"^endowment 4 exceeds total claims$"):
         streaming_to_claims(thin)
+
+
+def test_streaming_to_claims_never_holds_the_whole_transpose():
+    """Column sums and supports are taken one column at a time: beyond what the claims
+    problem keeps, the conversion allocates far less than a transpose of the streams."""
+    rng = random.Random(47)
+    n, m = 40, 2000
+    problem = new_problem([f"a{i}" for i in range(n)], [f"u{j}" for j in range(m)],
+                          [[rng.randint(1, 9) for _ in range(m)] for _ in range(n)])
+    transpose = sum(sys.getsizeof(column) for column in zip(*problem.streams))
+    tracemalloc.start()
+    try:
+        mc = streaming_to_claims(problem)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mc == reference_streaming_to_claims(problem)
+    assert peak - kept < transpose / 4
 
 
 def test_trusted_stages_match_the_checked_stage():
