@@ -1301,18 +1301,21 @@ def test_heap_is_frozen_at_exit(two_user_csv, tmp_path, args, code):
 
 NEVER_FROZEN = """
 import gc, json, sys
+frozen = gc.get_freeze_count()
 import streamshare, streamshare.cli
 from click.testing import CliRunner
 for args in json.loads(sys.argv[1]):
     result = CliRunner().invoke(streamshare.cli.cli, args)
     assert result.exit_code == 0, (args, result.output)
-assert gc.get_freeze_count() == 0 and gc.isenabled()
+assert gc.get_freeze_count() == frozen and gc.isenabled()
 """
 
 
 def test_importing_and_invoking_never_freeze(runner, two_user_csv):
     """Only main() freezes: the library and CliRunner runs of every subcommand leave the
-    collector running, with nothing frozen."""
+    collector running and freeze nothing.  The count is compared with its value before the
+    import, since CPython 3.12 starts with a few hundred objects already frozen."""
+    frozen = gc.get_freeze_count()
     commands = [[name, "-i", two_user_csv, "-o", "json"]
                 for name in ("allocate", "compare", "core-check", "game", "claims")]
     commands.append(["axioms", "--budget", "3", "-o", "json"])
@@ -1320,7 +1323,7 @@ def test_importing_and_invoking_never_freeze(runner, two_user_csv):
     assert result.returncode == 0, result.stderr
     for args in commands:
         assert invoke(runner, *args).exit_code == 0, args
-    assert gc.get_freeze_count() == 0 and gc.isenabled()
+    assert gc.get_freeze_count() == frozen and gc.isenabled()
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
