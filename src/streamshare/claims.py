@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, count, repeat
+from itertools import compress, count, repeat
 from typing import Callable, NamedTuple, Sequence, Union
 
 from .model import (InvalidProblem, StreamingProblem, WeightContractViolated, _exact_sum,
@@ -127,7 +127,10 @@ class MultiIssueClaims:
     total.  The public constructor checks all of this once and stores the
     issue totals and their sum ``_total``; :func:`streaming_to_claims`
     builds its value with :func:`model._trusted` from those of a validated
-    streaming problem, and also prefills ``_supports``.
+    streaming problem, and also prefills ``_supports``.  Such a value keeps
+    the problem's integer rows as ``_counts`` and one Fraction per distinct
+    count in ``_made``; its ``claims`` are made from them on first read and
+    then kept, as a ``cached_property`` would.
     """
 
     agents: tuple[str, ...]
@@ -164,6 +167,14 @@ class MultiIssueClaims:
         _require_solvent(grand, self.endowment)
         object.__setattr__(self, "_issue_totals", totals)
         object.__setattr__(self, "_total", grand)
+
+    def __getattr__(self, name: str):
+        # Only reached when ``name`` is not stored on the instance.
+        if name != "claims":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        cell = self._made.__getitem__
+        value = vars(self)[name] = tuple(tuple(map(cell, row)) for row in self._counts)
+        return value
 
     def issue_totals(self) -> tuple[Fraction, ...]:
         return self._issue_totals
@@ -274,15 +285,19 @@ def _split_issues(problem: MultiIssueClaims, rule: BankruptcyRule,
     A built-in rule sees only the positive claims and runs unchecked on ``trusted`` budgets,
     which cea needs within each issue's total.  A callable rule sees every agent, checked.
     """
-    agents, claims = problem.agents, problem.claims
+    agents = problem.agents
+    # A streaming view reads its integer counts, so its ``claims`` are never made.
+    counts = vars(problem).get("_counts")
+    rows, cell = (problem.claims, None) if counts is None else (counts, problem._made.__getitem__)
     supports = problem._supports if _built_in(rule) else repeat(range(len(agents)))
     totals = problem.issue_totals() if trusted else repeat(None)
     terms = [[] for _ in agents]
     for j, (issue, support, budget, total) in enumerate(
             zip(problem.issues, supports, budgets, totals)):
+        column = (rows[i][j] for i in support)
         awards = _stage(rule, "agent", f"agent stage, issue {issue!r}",
                         tuple(agents[i] for i in support),
-                        tuple(claims[i][j] for i in support), budget, total)
+                        tuple(column if cell is None else map(cell, column)), budget, total)
         for i, award in zip(support, awards):
             terms[i].append(award)
     return tuple(map(_exact_sum, terms))
@@ -316,7 +331,10 @@ def streaming_to_claims(problem: StreamingProblem) -> MultiIssueClaims:
     the platform revenue.  Solvency holds whenever each user averages at
     least the fee in streams; otherwise construction fails.  The counts of
     a validated problem are nonnegative integers with a positive total per
-    user, so solvency is the only check left to make.
+    user, so solvency is the only check left to make.  The view keeps the
+    problem's own rows and makes ``claims`` only on first read, with one
+    Fraction per distinct count; the two-stage and weighted rules read the
+    rows and never make it.
     """
     # One column at a time, so the transpose of a wide catalog is never held whole.
     sums, supports = [], []
@@ -326,11 +344,10 @@ def streaming_to_claims(problem: StreamingProblem) -> MultiIssueClaims:
     total = Fraction(sum(sums))
     revenue = problem.revenue
     _require_solvent(total, revenue)
-    made = {t: Fraction(t) for t in set(chain.from_iterable(problem.streams))}
+    made = {t: Fraction(t) for t in set().union(*problem.streams)}
     return _trusted(MultiIssueClaims, agents=problem.artists, issues=problem.users,
-                    claims=tuple(tuple(map(made.__getitem__, row)) for row in problem.streams),
-                    endowment=revenue, _issue_totals=_fractions(sums, 1), _total=total,
-                    _supports=tuple(supports))
+                    endowment=revenue, _counts=problem.streams, _made=made,
+                    _issue_totals=_fractions(sums, 1), _total=total, _supports=tuple(supports))
 
 
 def streaming_to_bankruptcy(problem: StreamingProblem) -> BankruptcyProblem:

@@ -117,7 +117,7 @@ class ParseError(ModelError):
         self.field = field
 
 
-_RATIONAL_TEXT = re.compile(r"\s*[+-]?(\d+)(?:/(\d+))?\s*")
+_RATIONAL_TEXT = re.compile(r"\s*[+-]?([0-9]+)(?:/([0-9]+))?\s*")
 
 # The most digits one number read from text may have: a CSV or JSON stream
 # count, or either part of a string such as a fee.  CPython converts decimal

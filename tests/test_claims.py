@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import random
 import sys
 import tracemalloc
@@ -48,6 +51,7 @@ from helpers import (
     reference_weighted_proportional,
     sparse_problem_with_silent_artists,
 )
+from test_parsers import _uniform
 
 F = Fraction
 
@@ -660,3 +664,71 @@ def test_weighted_proportional_adds_positive_claims_only(monkeypatch):
         weighted_proportional(public, weights)
     # About 12,000 claims each, almost all zero: none is tested one at a time.
     assert len(calls) <= len(problem.users)
+
+
+def wide_uniform_view_problem():
+    """The 60 x 1,200 uniform catalog at a 7/3 fee."""
+    return _uniform(0, 60, 1200).with_fee(F(7, 3))
+
+
+def test_streaming_view_makes_the_public_claims_on_first_read():
+    """The view keeps the problem's integer rows; everything read from it, and every copy,
+    equals the public constructor's value, and its claims are Fractions shared per count."""
+    checked = 0
+    for problem in (*streaming_views(), wide_uniform_view_problem()):
+        try:
+            expected = reference_streaming_to_claims(problem)
+        except InvalidProblem:
+            continue
+        mc = streaming_to_claims(problem)
+        copies = (pickle.loads(pickle.dumps(mc)), copy.copy(mc), copy.deepcopy(mc))
+        assert not any("claims" in vars(other) for other in (mc, *copies))
+        copies += (dataclasses.replace(mc),)
+        assert mc.issue_totals() == expected.issue_totals() and mc._total == expected._total
+        assert mc._supports == expected._supports
+        assert mc == expected and hash(mc) == hash(expected)
+        assert "claims" in vars(mc)
+        assert mc.claims == expected.claims
+        assert all(type(c) is Fraction for row in mc.claims for c in row)
+        assert len({id(c) for row in mc.claims for c in row}) == len(
+            set().union(*problem.streams))
+        assert multi_issue_to_dict(mc) == multi_issue_to_dict(expected)
+        for other in copies:
+            assert type(other) is MultiIssueClaims
+            assert other == expected and hash(other) == hash(expected)
+            assert other.issue_totals() == expected.issue_totals()
+            assert other._supports == expected._supports
+            assert all(type(c) is Fraction for row in other.claims for c in row)
+            assert multi_issue_to_dict(other) == multi_issue_to_dict(expected)
+        checked += 1
+    assert checked > 80
+
+
+def test_streaming_view_keeps_no_second_matrix():
+    """The view stores the problem's own rows, not a matrix of Fraction references."""
+    problem = wide_uniform_view_problem()
+    rows = sum(map(sys.getsizeof, problem.streams))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        mc = streaming_to_claims(problem)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < rows / 4
+    assert mc._counts is problem.streams
+
+
+def test_rules_on_a_streaming_view_never_make_its_claims():
+    problem = wide_uniform_view_problem()
+    mc = streaming_to_claims(problem)
+    awards = two_stage_rule(mc, "cea", "proportional")
+    assert "claims" not in vars(mc)
+    public = reference_streaming_to_claims(problem)
+    assert awards == two_stage_rule(public, "cea", "proportional")
+    assert all(type(a) is Fraction for a in awards)
+    assert two_stage_rule(mc, "proportional", "cea") == two_stage_rule(
+        public, "proportional", "cea")
+    for weights in (issue_size_weights, equal_issue_weights):
+        assert weighted_proportional(mc, weights) == weighted_proportional(public, weights)
+    assert "claims" not in vars(mc)

@@ -917,6 +917,30 @@ def test_weights_file_digits_are_capped(tmp_path):
     assert set(json.loads(result.stdout)["rewards"]) == {"1", "2"}
 
 
+def test_string_numbers_take_ascii_digits_only(tmp_path):
+    """A fee, a weight string or a p/q factor written with any other Unicode digit,
+    here the Arabic-Indic three, is refused as bad input, not read as that digit."""
+    catalog, weights = tmp_path / "two.csv", tmp_path / "weights.json"
+    catalog.write_text(TWO_USER_CSV)
+    result = run_cli("allocate", "-i", str(catalog), "--fee", "\u0663/4")
+    assert result.returncode == EXIT_INPUT and result.stdout == b""
+    assert result.stderr.decode("utf-8") == (
+        "error: fee '\u0663/4' is not a valid rational: expected an integer or 'p/q'\n")
+    weights.write_text('{"a": "\u0663", "b": 1}', encoding="utf-8")
+    result = run_cli("allocate", "-i", str(catalog), "--method", "weighted-file",
+                     "--weights-file", str(weights))
+    assert result.returncode == EXIT_INPUT and result.stdout == b""
+    assert result.stderr.decode("utf-8") == ("error: weight for user 'a' '\u0663' is not a "
+                                             "valid rational: expected an integer or 'p/q'\n")
+    scores = streamshare.PRO_RATA(parse_problem(TWO_USER_CSV, "csv"))
+    with pytest.raises(streamshare.ParseError, match=r"^scale factor '1/\u0663' is not a "):
+        scores.scaled("1/\u0663")
+    with pytest.raises(streamshare.ParseError, match=r"^value '\u0663' is not a valid"):
+        streamshare.as_rational("\u0663")
+    assert scores.scaled(" 1/3 ") == scores.scaled(Fraction(1, 3))
+    assert streamshare.as_rational("+12/9") == Fraction(4, 3)
+
+
 def test_json_digit_hook_runs_only_in_texts_with_a_digit_run_over_the_cap(tmp_path,
                                                                           monkeypatch):
     """Only a text with a run of more digits than the cap can hold a number over it,
