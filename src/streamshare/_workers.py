@@ -24,25 +24,21 @@ def matrix_rows(indices: Sequence[Index], axioms: Sequence[str] | None,
 
     Each index's cells run on their own: every cell's rng is seeded from
     (seed, index, property), memos are kept per index, and the generator
-    starts over on every call.  So one worker per usable CPU checks every
-    w-th distinct index, and the parent puts the rows back in index-major
-    order.  A repeated index name keeps its first place and its last index,
-    as the matrix's keys do.  With one CPU, or where no worker can run, the
-    serial call runs; it also runs when any worker fails, and then raises
-    the exception it always raised.
+    starts over on every call.  So worker k of w, one per usable CPU up to
+    the n distinct indices, checks ``distinct[k * n // w:(k + 1) * n // w]``,
+    and the parent joins the rows in worker order.  A repeated index name
+    keeps its first place and its last index, as the matrix's keys do.  With
+    one CPU, or where no worker can run, the serial call runs; it also runs
+    when any worker fails, and then raises the exception it always raised.
     """
     distinct = list({index.name: index for index in indices}.values())
     cpus = usable_cpus()[:len(distinct)]
     if len(cpus) > 1:
-        workers = len(cpus)
-        groups = [distinct[k::workers] for k in range(workers)]
-        results = run([functools.partial(_rows_of, group, axioms, generator, budget)
-                       for group in groups], cpus)
+        n, w = len(distinct), len(cpus)
+        results = run([functools.partial(_rows_of, distinct[k * n // w:(k + 1) * n // w],
+                                         axioms, generator, budget) for k in range(w)], cpus)
         if results is not None:
-            # Index i is member i // workers of group i % workers; each has a row per property.
-            size = len(results[0]) // len(groups[0])
-            return [row for i in range(len(distinct)) for row in
-                    results[i % workers][i // workers * size:(i // workers + 1) * size]]
+            return [row for rows in results for row in rows]
     return _rows_of(indices, axioms, generator, budget)
 
 

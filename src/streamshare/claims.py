@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import compress, count, repeat
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from .model import (InvalidProblem, StreamingProblem, WeightContractViolated, _exact_sum,
                     _fractions, _over_common_denominator, _trusted, as_rational)
@@ -124,13 +123,13 @@ class MultiIssueClaims:
 
     ``claims[i][j]`` is agent i's claim on issue j.  Every issue must carry
     at least one positive claim, and the endowment may not exceed the grand
-    total.  The public constructor checks all of this once and stores the
-    issue totals and their sum ``_total``; :func:`streaming_to_claims`
-    builds its value with :func:`model._trusted` from those of a validated
-    streaming problem, and also prefills ``_supports``.  Such a value keeps
-    the problem's integer rows as ``_counts`` and one Fraction per distinct
-    count in ``_made``; its ``claims`` are made from them on first read and
-    then kept, as a ``cached_property`` would.
+    total.  The public constructor checks all of this once and stores, from
+    one pass over the columns, the issue totals, their sum ``_total`` and
+    each issue's positive claimants ``_supports``; :func:`streaming_to_claims`
+    builds its value with :func:`model._trusted` from the same pass over a
+    validated streaming problem.  Such a value keeps the problem's integer
+    rows as ``_counts`` and one Fraction per distinct count in ``_made``;
+    its ``claims`` are made from them on first read and then kept.
     """
 
     agents: tuple[str, ...]
@@ -159,14 +158,18 @@ class MultiIssueClaims:
                 raise InvalidProblem("claims must be nonnegative")
         if self.endowment < 0:
             raise InvalidProblem("endowment must be nonnegative")
-        totals = tuple(_exact_sum(column) for column in zip(*self.claims))
+        totals, supports = [], []
+        for column in zip(*self.claims):
+            totals.append(_exact_sum(column))
+            supports.append(tuple(compress(count(), column)))
         for issue, total in zip(self.issues, totals):
             if total == 0:
                 raise InvalidProblem(f"issue {issue!r} carries no claims")
         grand = _exact_sum(totals)
         _require_solvent(grand, self.endowment)
-        object.__setattr__(self, "_issue_totals", totals)
+        object.__setattr__(self, "_issue_totals", tuple(totals))
         object.__setattr__(self, "_total", grand)
+        object.__setattr__(self, "_supports", tuple(supports))
 
     def __getattr__(self, name: str):
         # Only reached when ``name`` is not stored on the instance.
@@ -179,20 +182,10 @@ class MultiIssueClaims:
     def issue_totals(self) -> tuple[Fraction, ...]:
         return self._issue_totals
 
-    @cached_property
-    def _supports(self) -> tuple[tuple[int, ...], ...]:
-        """Per issue, the positions of the agents holding a positive claim on it."""
-        return _nonzero_positions(zip(*self.claims))
-
 
 def _require_solvent(total: Fraction, endowment: Fraction) -> None:
     if total < endowment:
         raise InvalidProblem(f"endowment {endowment} exceeds total claims")
-
-
-def _nonzero_positions(columns) -> tuple[tuple[int, ...], ...]:
-    """Per column, the positions of its nonzero entries."""
-    return tuple(tuple(compress(count(), column)) for column in columns)
 
 
 @dataclass(frozen=True)
@@ -284,6 +277,9 @@ def _split_issues(problem: MultiIssueClaims, rule: BankruptcyRule,
 
     A built-in rule sees only the positive claims and runs unchecked on ``trusted`` budgets,
     which cea needs within each issue's total.  A callable rule sees every agent, checked.
+    Trust is not read from ``budget <= total``: ``weighted_proportional``'s budgets may
+    exceed an issue's claims (with equal issue weights, a user with fewer streams than the
+    fee still gives the whole fee), and proportional splits them all the same.
     """
     agents = problem.agents
     # A streaming view reads its integer counts, so its ``claims`` are never made.
@@ -369,10 +365,16 @@ def multi_issue_to_dict(problem: MultiIssueClaims) -> dict:
     }
 
 
-def multi_issue_from_dict(data) -> MultiIssueClaims:
+def multi_issue_from_dict(data: Mapping) -> MultiIssueClaims:
+    if not isinstance(data, Mapping):
+        raise InvalidProblem("top level must be an object")
     for key in ("agents", "issues", "claims", "endowment"):
         if key not in data:
             raise InvalidProblem(f"missing key {key!r}")
+    if not all(isinstance(data[key], list) for key in ("agents", "issues", "claims")):
+        raise InvalidProblem("'agents', 'issues' and 'claims' must be arrays")
+    if not all(isinstance(row, list) for row in data["claims"]):
+        raise InvalidProblem("'claims' must be an array of arrays")
     return MultiIssueClaims(
         agents=tuple(data["agents"]),
         issues=tuple(data["issues"]),

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .model import (Allocation, ArtistMismatch, IndexValues, ModelError, ParseError,
-                    StreamingProblem, UnknownUser, _trusted, as_rational)
+                    StreamingProblem, UnknownUser, _over_lcm, _trusted, as_rational)
 
 
 class NonPositiveWeight(ModelError):
@@ -92,15 +92,9 @@ def _scores(artists: tuple[str, ...], numerators: list[int], common: int) -> Ind
     return _trusted(IndexValues, artists=artists, _integers=(common, numerators))
 
 
-def _over_lcm(pairs: list[tuple[int, int]]) -> tuple[int, list[int]]:
-    """The lcm L of the positive denominators q, over their set, and each ``p/q`` times L."""
-    common = math.lcm(*{q for _, q in pairs})
-    return common, [p * (common // q) for p, q in pairs]
-
-
 def _weighted(problem: StreamingProblem, pairs: list[tuple[int, int]]) -> IndexValues:
     """Artist i scores the sum over users j of ``p/q * count(i, j)``, ``(p, q) = pairs[j]``."""
-    common, weights = _over_lcm(pairs)
+    common, weights = _over_lcm(*zip(*pairs))
     return _scores(problem.artists,
                    [sum(w * c for w, c in zip(weights, row) if c) for row in problem.streams],
                    common)
@@ -218,7 +212,8 @@ def padded_share_index(problem: StreamingProblem) -> IndexValues:
     ``(count(i,j) + total(i)) / (user_total(j) + grand_total)``.
     """
     grand = problem.total_streams
-    common, scales = _over_lcm([(1, sum(col) + grand) for col in zip(*problem.streams)])
+    common, scales = _over_lcm([1] * problem.user_count,
+                               [sum(col) + grand for col in zip(*problem.streams)])
     numerators = []
     for row in problem.streams:
         rt = sum(row)
@@ -240,7 +235,8 @@ def stream_share_index(problem: StreamingProblem) -> IndexValues:
 
 def equal_split_index(problem: StreamingProblem) -> IndexValues:
     """Each user splits one unit equally over the artists they streamed."""
-    common, shares = _over_lcm([(1, len(col) - col.count(0)) for col in zip(*problem.streams)])
+    common, shares = _over_lcm([1] * problem.user_count,
+                               [len(col) - col.count(0) for col in zip(*problem.streams)])
     return _scores(problem.artists,
                    [sum(s for c, s in zip(row, shares) if c) for row in problem.streams],
                    common)

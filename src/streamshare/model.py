@@ -161,16 +161,21 @@ def as_rational(value: int | str | Fraction, what: str = "value",
         raise ParseError(f"{what} {value!r} is not a valid rational: {exc}") from None
 
 
-def _over_common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """The lcm d of the denominators and every value times d, as integers.
+def _over_lcm(numerators: Sequence[int], denominators: Sequence[int]) -> tuple[int, list[int]]:
+    """The lcm d of the positive denominators, and each numerator over its denominator times d.
 
     Adding Fractions one at a time reduces by a gcd at every step; integers
     over one denominator are reduced once, into the Fraction built at the end.
     """
-    d = math.lcm(*{v.denominator for v in values})
+    d = math.lcm(*set(denominators))
     if d == 1:
-        return 1, [v.numerator for v in values]
-    return d, [v.numerator * (d // v.denominator) for v in values]
+        return 1, list(numerators)
+    return d, [p * (d // q) for p, q in zip(numerators, denominators)]
+
+
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The lcm d of the denominators and every value times d, as integers."""
+    return _over_lcm([v.numerator for v in values], [v.denominator for v in values])
 
 
 def _fractions(numerators: list[int], denominator: int) -> tuple[Fraction, ...]:

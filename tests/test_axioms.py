@@ -814,3 +814,24 @@ def test_matrix_rows_in_workers_match_the_serial_rows(monkeypatch, usable_cpus, 
             assert typed(_workers.matrix_rows(indices, axioms, gen, 40)) == expected
             distinct = len({index.name for index in indices})
             assert len(serial_calls) == (1 if min(workers, distinct) == 1 else 0)
+
+
+def test_matrix_rows_deal_each_worker_a_run_of_indices(monkeypatch, usable_cpus):
+    """Every split of 1-8 distinct indices over 1-4 usable CPUs gives the serial rows,
+    from one forked worker per CPU up to the index count."""
+    from streamshare import _workers
+
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    gen = ProblemGenerator(seed=3, max_artists=4, max_users=4)
+    order = random.Random(3).sample(CLI_INDICES, len(CLI_INDICES))
+    assert len(order) == 8
+    for n in range(1, 9):
+        indices = order[:n]
+        expected = typed(matrix_to_rows(axiom_matrix(indices, None, gen, 4)))
+        for workers in (1, 2, 3, 4):
+            usable_cpus(workers)
+            forks.clear()
+            assert typed(_workers.matrix_rows(indices, None, gen, 4)) == expected
+            groups = min(workers, n)
+            assert len(forks) == (groups if groups > 1 else 0)

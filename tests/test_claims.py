@@ -355,6 +355,26 @@ def test_multi_issue_from_dict_rejects_floats():
         multi_issue_from_dict(data)
 
 
+@pytest.mark.parametrize("data, message", [
+    ("agents", "top level must be an object"),
+    (["agents", "issues", "claims", "endowment"], "top level must be an object"),
+    ({"agents": "xy", "issues": ["a"], "claims": [[1], [1]], "endowment": 1},
+     "'agents', 'issues' and 'claims' must be arrays"),
+    ({"agents": ["x"], "issues": "a", "claims": [[1]], "endowment": 1},
+     "'agents', 'issues' and 'claims' must be arrays"),
+    ({"agents": ["x"], "issues": ["a"], "claims": 7, "endowment": 1},
+     "'agents', 'issues' and 'claims' must be arrays"),
+    ({"agents": ["x"], "issues": ["a"], "claims": ["1"], "endowment": 1},
+     "'claims' must be an array of arrays"),
+    ({"agents": ["x", "y"], "issues": ["a"], "claims": [[1], 1], "endowment": 1},
+     "'claims' must be an array of arrays"),
+])
+def test_multi_issue_from_dict_refuses_what_is_not_an_array(data, message):
+    with pytest.raises(InvalidProblem) as got:
+        multi_issue_from_dict(data)
+    assert str(got.value) == message
+
+
 def test_multi_issue_dict_roundtrip_with_fractions():
     mc = MultiIssueClaims(("1", "2"), ("a", "b"),
                           ((F(1, 3), F(0)), (F(5, 2), F(7))), F(9, 4))

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import ast
 import json
 import math
 import pickle
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -45,7 +47,7 @@ from streamshare import (
 )
 from streamshare.axioms import ProblemGenerator, _resampled_column, check_homogeneity
 from streamshare.indices import NonPositiveWeight, weighted_index
-from streamshare.model import _exact_sum, _fractions, _over_common_denominator
+from streamshare.model import _exact_sum, _fractions, _over_common_denominator, _over_lcm
 
 from helpers import revalidated, three_user_problem, two_user_problem
 
@@ -599,6 +601,27 @@ def test_common_denominator_kernel_matches_fraction_arithmetic(values):
     total = _exact_sum(v for v in values)
     assert type(total) is Fraction and total == sum(values, Fraction(0))
     assert _exact_sum(values) == total
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 40)), max_size=12))
+def test_lcm_of_pairs_matches_the_common_denominator_of_their_fractions(pairs):
+    lowest = [Fraction(p, q).as_integer_ratio() for p, q in pairs]
+    d, numerators = _over_lcm([p for p, _ in lowest], [q for _, q in lowest])
+    assert (d, numerators) == _over_common_denominator([Fraction(p, q) for p, q in pairs])
+    assert type(d) is int and all(type(n) is int for n in numerators)
+
+
+def test_only_model_takes_an_lcm():
+    """One routine puts values over their lcm, so a cap on its size has one place to go."""
+    callers = set()
+    for path in Path(streamshare.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "lcm"
+                    or isinstance(node, ast.Name) and node.id == "lcm"
+                    or isinstance(node, ast.alias) and node.name == "lcm"):
+                callers.add(path.name)
+    assert callers == {"model.py"}
 
 
 @settings(max_examples=200, deadline=None)
