@@ -127,9 +127,9 @@ class MultiIssueClaims:
     one pass over the columns, the issue totals, their sum ``_total`` and
     each issue's positive claimants ``_supports``; :func:`streaming_to_claims`
     builds its value with :func:`model._trusted` from the same pass over a
-    validated streaming problem.  Such a value keeps the problem's integer
-    rows as ``_counts`` and one Fraction per distinct count in ``_made``;
-    its ``claims`` are made from them on first read and then kept.
+    validated streaming problem.  Such a value keeps only the problem's
+    integer rows, as ``_counts``; its ``claims`` are made from them on first
+    read, with one Fraction per distinct count, and then kept.
     """
 
     agents: tuple[str, ...]
@@ -175,8 +175,8 @@ class MultiIssueClaims:
         # Only reached when ``name`` is not stored on the instance.
         if name != "claims":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        cell = self._made.__getitem__
-        value = vars(self)[name] = tuple(tuple(map(cell, row)) for row in self._counts)
+        made = {t: Fraction(t) for t in set().union(*self._counts)}.__getitem__
+        value = vars(self)[name] = tuple(tuple(map(made, row)) for row in self._counts)
         return value
 
     def issue_totals(self) -> tuple[Fraction, ...]:
@@ -238,8 +238,20 @@ def weighted_proportional(problem: MultiIssueClaims,
     the issue's weight times the endowment.  Only positive claims add a term.
     """
     weights = weight_function(problem.issue_totals(), problem.endowment)
-    return _split_issues(problem, proportional_rule, [w * problem.endowment for w in weights],
-                         trusted=True)
+    return _proportional_split(problem, [w * problem.endowment for w in weights])
+
+
+def _rows(problem: MultiIssueClaims) -> Sequence[Sequence]:
+    """The claim rows as stored: a streaming view's integer counts, else the Fractions."""
+    return vars(problem).get("_counts") or problem.claims
+
+
+def _proportional_split(problem: MultiIssueClaims,
+                        budgets: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """Split each issue's budget, which may exceed its claims, in proportion to them."""
+    ratios = [b / t for b, t in zip(budgets, problem.issue_totals())]
+    return tuple(_exact_sum([c * r for c, r in zip(row, ratios) if c.numerator])
+                 for row in _rows(problem))
 
 
 def _built_in(rule: BankruptcyRule) -> bool:
@@ -248,16 +260,14 @@ def _built_in(rule: BankruptcyRule) -> bool:
 
 
 def _stage(rule: BankruptcyRule, claimant: str, stage: str, claimants: tuple[str, ...],
-           claims: Sequence[Fraction], endowment: Fraction,
-           total: Fraction | None = None) -> tuple[Fraction, ...]:
+           claims: Sequence, endowment: Fraction, total: Fraction) -> tuple[Fraction, ...]:
     """One stage of ``two_stage_rule``: run ``rule`` and hold its awards to the contract.
 
-    Pass ``total`` only for a problem known to be valid whose claims sum to
-    it: a built-in rule then runs on it unchecked and its awards are taken
-    as they are.  A callable rule always gets a validated problem and is
-    held to the contract.
+    ``claims`` are valid and sum to ``total``.  A built-in rule runs unchecked when
+    ``endowment <= total``, and may then take int claims; its awards are taken as they
+    are.  Otherwise the problem is validated and the rule is held to the contract.
     """
-    if total is not None and _built_in(rule):
+    if endowment <= total and _built_in(rule):
         return rule(_trusted(BankruptcyProblem, agents=claimants, claims=claims,
                              endowment=endowment, _total=total))
     try:
@@ -272,28 +282,20 @@ def _stage(rule: BankruptcyRule, claimant: str, stage: str, claimants: tuple[str
 
 
 def _split_issues(problem: MultiIssueClaims, rule: BankruptcyRule,
-                  budgets: Sequence[Fraction], trusted: bool) -> tuple[Fraction, ...]:
-    """Ration each issue's budget among its agents with ``rule``: the one loop over issues.
+                  budgets: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """Ration each issue's budget among its agents with ``rule``, one issue at a time.
 
-    A built-in rule sees only the positive claims and runs unchecked on ``trusted`` budgets,
-    which cea needs within each issue's total.  A callable rule sees every agent, checked.
-    Trust is not read from ``budget <= total``: ``weighted_proportional``'s budgets may
-    exceed an issue's claims (with equal issue weights, a user with fewer streams than the
-    fee still gives the whole fee), and proportional splits them all the same.
+    A built-in rule sees only the positive claims, read as stored; a callable rule sees
+    every agent.  An issue whose budget exceeds its total fails there, through ``_stage``.
     """
-    agents = problem.agents
-    # A streaming view reads its integer counts, so its ``claims`` are never made.
-    counts = vars(problem).get("_counts")
-    rows, cell = (problem.claims, None) if counts is None else (counts, problem._made.__getitem__)
+    agents, rows = problem.agents, _rows(problem)
     supports = problem._supports if _built_in(rule) else repeat(range(len(agents)))
-    totals = problem.issue_totals() if trusted else repeat(None)
     terms = [[] for _ in agents]
     for j, (issue, support, budget, total) in enumerate(
-            zip(problem.issues, supports, budgets, totals)):
-        column = (rows[i][j] for i in support)
+            zip(problem.issues, supports, budgets, problem.issue_totals())):
         awards = _stage(rule, "agent", f"agent stage, issue {issue!r}",
                         tuple(agents[i] for i in support),
-                        tuple(column if cell is None else map(cell, column)), budget, total)
+                        tuple(rows[i][j] for i in support), budget, total)
         for i, award in zip(support, awards):
             terms[i].append(award)
     return tuple(map(_exact_sum, terms))
@@ -308,16 +310,17 @@ def two_stage_rule(problem: MultiIssueClaims,
     divides the endowment with ``issue_stage``.  Stage two divides each
     issue's award among the agents with ``agent_stage``, using the original
     claims on that issue.  Each stage must return one exact, nonnegative
-    award per claimant.  Any InvalidProblem raised inside a stage, or by a
-    stage breaking that contract, is re-raised tagged with the stage.  The
-    built-in rules keep the contract and run unchecked, except for an agent
-    stage after a callable issue stage, which may overspend an issue.
+    award per claimant; an InvalidProblem raised inside a stage, or by a
+    stage breaking that contract, is re-raised tagged with the stage.  A
+    built-in rule runs unchecked on each issue whose budget is within its total.
     """
     psi, phi = resolve_rule(issue_stage), resolve_rule(agent_stage)
-    issue_budgets = _stage(psi, "issue", "issue stage", problem.issues,
-                           problem.issue_totals(), problem.endowment, problem._total)
-    # A built-in issue stage keeps every budget within its issue's total.
-    return _split_issues(problem, phi, issue_budgets, trusted=_built_in(psi))
+    totals = problem.issue_totals()
+    budgets = _stage(psi, "issue", "issue stage", problem.issues, totals,
+                     problem.endowment, problem._total)
+    if phi is proportional_rule and all(b <= t for b, t in zip(budgets, totals)):
+        return _proportional_split(problem, budgets)
+    return _split_issues(problem, phi, budgets)
 
 
 def streaming_to_claims(problem: StreamingProblem) -> MultiIssueClaims:
@@ -327,10 +330,8 @@ def streaming_to_claims(problem: StreamingProblem) -> MultiIssueClaims:
     the platform revenue.  Solvency holds whenever each user averages at
     least the fee in streams; otherwise construction fails.  The counts of
     a validated problem are nonnegative integers with a positive total per
-    user, so solvency is the only check left to make.  The view keeps the
-    problem's own rows and makes ``claims`` only on first read, with one
-    Fraction per distinct count; the two-stage and weighted rules read the
-    rows and never make it.
+    user, so solvency is the only check left to make.  The view keeps only
+    the problem's rows; the rules read those ints and never make ``claims``.
     """
     # One column at a time, so the transpose of a wide catalog is never held whole.
     sums, supports = [], []
@@ -340,9 +341,8 @@ def streaming_to_claims(problem: StreamingProblem) -> MultiIssueClaims:
     total = Fraction(sum(sums))
     revenue = problem.revenue
     _require_solvent(total, revenue)
-    made = {t: Fraction(t) for t in set().union(*problem.streams)}
     return _trusted(MultiIssueClaims, agents=problem.artists, issues=problem.users,
-                    endowment=revenue, _counts=problem.streams, _made=made,
+                    endowment=revenue, _counts=problem.streams,
                     _issue_totals=_fractions(sums, 1), _total=total, _supports=tuple(supports))
 
 

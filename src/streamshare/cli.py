@@ -263,7 +263,7 @@ def compare(input_path, input_format, fee, output_mode, precision,
         methods = ("pro-rata", "user-centric")
         if alpha is not None and beta is not None:
             methods += ("banded",)
-    resolved = [_method_index(m, alpha, beta, weights_file) for m in methods]
+    resolved = [_method_index(m, alpha, beta, weights_file) for m in dict.fromkeys(methods)]
     results = [(idx, idx(problem)) for idx in resolved]
     payouts = [rewards(problem, values) for _, values in results]
     if output_mode == "json":
@@ -381,7 +381,8 @@ def game(input_path, input_format, fee, output_mode) -> None:
     from fractions import Fraction
 
     d, worths = g._integers
-    widest = sep.join(g.players), max((str(Fraction(t, d)) for t in set(worths)), key=len)
+    widest = (sep.join(game_mod._key_players(g.players)),
+              max((str(Fraction(t, d)) for t in set(worths)), key=len))
     _echo_table(["coalition", "worth"], game_mod._worth_items(g, sep), widest)
     click.echo()
     _echo_table(["coalition", "dividend"], dividends.items())

@@ -653,6 +653,15 @@ def _coalition_keys(players: tuple[str, ...], separator: str) -> list[str]:
     return keys
 
 
+def _key_players(players: tuple[str, ...]) -> tuple[str, ...]:
+    """``players``, refused if a name holds the ',' that joins the members of a key."""
+    for player in players:
+        if "," in player:
+            raise ModelError(f"artist {player!r} cannot be named in a coalition key: "
+                             "it contains ','")
+    return players
+
+
 def _json_dict(items: Iterable[tuple[str, object]]) -> dict:
     """The dict of JSON items, with every iterator among the values made a dict in turn."""
     return {key: _json_dict(value) if isinstance(value, Iterator) else value
@@ -661,7 +670,7 @@ def _json_dict(items: Iterable[tuple[str, object]]) -> dict:
 
 def game_items(game: CoalitionalGame) -> Iterator[tuple[str, object]]:
     """The items of :func:`game_to_dict`, with the worths as a lazy iterator of items."""
-    yield "players", list(game.players)
+    yield "players", list(_key_players(game.players))
     yield "values", _worth_items(game)
 
 
@@ -699,7 +708,7 @@ def dividends_to_dict(table: DividendTable) -> dict:
     are joined per nonzero mask rather than tabled for all 2**n.
     """
     return {
-        "players": list(table.players),
+        "players": list(_key_players(table.players)),
         "dividends": {
             ",".join(_members(table.players, mask)): str(value)
             for mask, value in table.nonzero()

@@ -752,3 +752,72 @@ def test_rules_on_a_streaming_view_never_make_its_claims():
     for weights in (issue_size_weights, equal_issue_weights):
         assert weighted_proportional(mc, weights) == weighted_proportional(public, weights)
     assert "claims" not in vars(mc)
+
+
+def test_proportional_rules_on_a_streaming_view_peak_below_half_its_rows():
+    """The proportional split adds up one agent row at a time, so no rule holds an award
+    per claim: each peaks well below the rows it reads."""
+    problem = wide_uniform_view_problem()
+    rows = sum(map(sys.getsizeof, problem.streams))
+    mc = streaming_to_claims(problem)
+    for rule in (lambda: two_stage_rule(mc, "cea", "proportional"),
+                 lambda: weighted_proportional(mc, equal_issue_weights)):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rule()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < rows / 2
+
+
+def overspend_last(problem: BankruptcyProblem) -> tuple[Fraction, ...]:
+    """Give every issue its claims, and the last one twice its claims."""
+    return (*problem.claims[:-1], 2 * problem.claims[-1])
+
+
+def halve(problem: BankruptcyProblem) -> tuple[Fraction, ...]:
+    """Give every issue half its claims: within each issue's total."""
+    return tuple(c / 2 for c in problem.claims)
+
+
+def test_agent_stages_match_the_reference_on_either_side_of_the_budget_check():
+    rng = random.Random(53)
+    problems = [fractional_multi_issue(rng, rng.randint(1, 9), rng.randint(1, 9),
+                                       F(rng.randint(0, 10), 10)) for _ in range(20)]
+    for problem in streaming_views():
+        try:
+            problems.append(streaming_to_claims(problem))
+        except InvalidProblem:
+            pass  # more fee than streams: no claims view to compare
+    for mc in problems:
+        for issue_stage in (overspend_last, halve):
+            for agent_stage in STAGES + (equal_split,):
+                got = outcome(two_stage_rule, mc, issue_stage, agent_stage)
+                assert got == outcome(reference_two_stage_rule, mc, issue_stage, agent_stage)
+                if issue_stage is halve:
+                    assert all(kind is Fraction for kind, _ in got)
+                else:
+                    assert got[0] is InvalidProblem
+                    assert got[1].startswith(f"agent stage, issue {mc.issues[-1]!r}: ")
+
+
+def test_proportional_splits_skip_the_per_issue_loop(monkeypatch):
+    def per_issue(*args, **kwargs):
+        raise AssertionError("the per-issue loop ran")
+
+    rng = random.Random(54)
+    views = [streaming_to_claims(sparse_problem_with_silent_artists(55, fee=F(7, 3))),
+             fractional_multi_issue(rng, 7, 9, F(1, 2))]
+    expected = [[reference_two_stage_rule(mc, stage, "proportional")
+                 for stage in STAGES + (halve,)] for mc in views]
+    monkeypatch.setattr("streamshare.claims._split_issues", per_issue)
+    for mc, awards in zip(views, expected):
+        assert [two_stage_rule(mc, stage, "proportional")
+                for stage in STAGES + (halve,)] == awards
+        for weights in (issue_size_weights, equal_issue_weights):
+            assert weighted_proportional(mc, weights) == reference_weighted_proportional(
+                mc, weights)
+    with pytest.raises(AssertionError, match="per-issue loop"):
+        two_stage_rule(views[0], overspend_last, "proportional")

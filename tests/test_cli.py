@@ -237,6 +237,16 @@ def test_compare_repeatable_methods(runner, two_user_csv):
     assert "pro-rata" in result.output
 
 
+def test_compare_runs_a_repeated_method_once_in_first_seen_order(runner, three_user_csv):
+    args = ("compare", "-i", three_user_csv, "--method", "user-centric",
+            "--method", "pro-rata", "--method", "user-centric")
+    table = invoke(runner, *args)
+    assert table.exit_code == 0
+    assert table.output.splitlines()[0].split() == ["artist", "user-centric", "pro-rata"]
+    payload = json.loads(invoke(runner, *args, "-o", "json").output)
+    assert list(payload["methods"]) == ["user-centric", "pro-rata"]
+
+
 # -- core-check ----------------------------------------------------------
 
 
@@ -351,6 +361,19 @@ def test_game_too_many_players_notice(runner, tmp_path):
     result = invoke(runner, "game", "-i", str(path))
     assert result.exit_code == 0
     assert "skipped" in result.output
+
+
+@pytest.mark.parametrize("mode", ["json", "table"])
+def test_game_refuses_an_artist_name_that_holds_the_key_separator(runner, tmp_path, mode):
+    """With an artist "a,b", the key "a,b" would name both that artist and the pair {a, b}."""
+    path = tmp_path / "comma.json"
+    path.write_text(json.dumps({"artists": ["a,b", "a", "b"], "users": ["u", "v"],
+                                "streams": [[1, 0], [0, 1], [1, 1]]}))
+    result = invoke(runner, "game", "-i", str(path), "-o", mode)
+    assert result.exit_code == EXIT_INPUT
+    assert result.stdout == ""
+    assert result.stderr == ("error: artist 'a,b' cannot be named in a coalition key: "
+                             "it contains ','\n")
 
 
 # -- claims -------------------------------------------------------------------

@@ -773,6 +773,17 @@ def test_dividends_to_dict(three_user):
     assert payload["dividends"] == {"1": "1", "2": "1", "1,2": "1"}
 
 
+def test_coalition_dicts_refuse_an_artist_name_that_holds_a_comma():
+    problem = new_problem(["a,b", "a", "b"], ["u", "v"], [[1, 0], [0, 1], [1, 1]])
+    game = streaming_game(problem)
+    message = r"^artist 'a,b' cannot be named in a coalition key: it contains ','$"
+    for to_dict, value in ((game_to_dict, game), (dividends_to_dict, harsanyi_dividends(game))):
+        with pytest.raises(ModelError, match=message):
+            to_dict(value)
+    assert game_to_dict(streaming_game(new_problem(["a;b", "a"], ["u"], [[1], [1]])))[
+        "values"] == {"a;b": "0", "a": "0", "a;b,a": "1"}
+
+
 def test_decomposition_to_dict(two_user):
     result = in_core_flow(two_user, [F(1), F(1)])
     payload = decomposition_to_dict(result.decomposition)
