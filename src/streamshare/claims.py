@@ -13,10 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, repeat
+from math import gcd
+from operator import attrgetter
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from .model import (InvalidProblem, StreamingProblem, WeightContractViolated, _exact_sum,
-                    _fractions, _over_common_denominator, _trusted, as_rational)
+                    _fractions, _over_common_denominator, _over_lcm, _trusted, as_rational)
+
+_NUMERATOR = attrgetter("numerator")
 
 
 def _rational_tuple(values: Sequence, what: str) -> tuple[Fraction, ...]:
@@ -248,10 +252,28 @@ def _rows(problem: MultiIssueClaims) -> Sequence[Sequence]:
 
 def _proportional_split(problem: MultiIssueClaims,
                         budgets: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Split each issue's budget, which may exceed its claims, in proportion to them."""
-    ratios = [b / t for b, t in zip(budgets, problem.issue_totals())]
-    return tuple(_exact_sum([c * r for c, r in zip(row, ratios) if c.numerator])
-                 for row in _rows(problem))
+    """Split each issue's budget, which may exceed its claims, in proportion to them.
+
+    Each issue's ratio of budget to total is reduced once, to integers p / q.  An
+    agent's award is the sum over its positive claims a / b of a p / (b q), added
+    as integers over one denominator: one Fraction per agent, none per claim.  The
+    rows are read as stored; a count is its own numerator.
+    """
+    tops, bottoms = [], []
+    for budget, total in zip(budgets, problem.issue_totals()):
+        p, q = budget.numerator * total.denominator, budget.denominator * total.numerator
+        g = gcd(p, q)
+        tops.append(p // g)
+        bottoms.append(q // g)
+    counts = vars(problem).get("_counts")
+    awards = []
+    for row in counts or problem.claims:
+        numerators = row if counts else tuple(map(_NUMERATOR, row))
+        support = list(compress(count(), numerators))
+        d, scaled = _over_lcm([numerators[j] * tops[j] for j in support],
+                              [row[j].denominator * bottoms[j] for j in support])
+        awards.append(Fraction(sum(scaled), d))
+    return tuple(awards)
 
 
 def _built_in(rule: BankruptcyRule) -> bool:

@@ -202,6 +202,11 @@ def _trusted(cls: type, **fields):
     return out
 
 
+def _check_fee(fee: Fraction) -> None:
+    if fee <= 0:
+        raise NonPositiveFee(f"fee must be positive, got {fee}")
+
+
 def decimal_display(value: Fraction, places: int) -> str:
     """Render ``value`` with ``places`` decimals, rounding halves away from zero.
 
@@ -271,8 +276,7 @@ class StreamingProblem:
                         raise DimensionMismatch(f"stream counts must be integers, got {cell!r}")
                     if cell < 0:
                         raise DimensionMismatch(f"stream counts must be nonnegative, got {cell}")
-        if fee <= 0:
-            raise NonPositiveFee(f"fee must be positive, got {fee}")
+        _check_fee(fee)
         # Counts are nonnegative now, so a matrix whose every column is nonempty has a
         # positive total, and one whose every column is empty is all zero.
         filled = list(map(any, zip(*streams)))
@@ -357,7 +361,11 @@ class StreamingProblem:
         return self._columns([k for k in range(self.user_count) if k != j])
 
     def with_fee(self, fee: int | str | Fraction) -> "StreamingProblem":
-        return StreamingProblem(self.artists, self.users, self.streams, fee)
+        """The same problem at another fee; only the new fee is checked."""
+        fee = as_rational(fee, "fee", NonPositiveFee)
+        _check_fee(fee)
+        return _trusted(StreamingProblem, artists=self.artists, users=self.users,
+                        streams=self.streams, fee=fee)
 
     def select_users(self, subset: Iterable[str]) -> "StreamingProblem":
         """Restriction to a nonempty subset of users (input order preserved)."""
@@ -596,13 +604,7 @@ def _parse_csv(text: str) -> StreamingProblem:
     rows: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(lines[1:], start=2):
         name, _, rest = raw.partition(",")
-        # A row no longer than the digit cap holds no cell over it.
-        fits = (len(rest) <= MAX_INPUT_DIGITS
-                or max(map(len, rest.split(","))) <= MAX_INPUT_DIGITS)
-        try:
-            row = tuple(map(int, rest.split(","))) if fits else ()  # int() strips whitespace
-        except ValueError:
-            row = ()
+        row = _whole_row(rest)
         if len(row) != len(users) or min(row) < 0:
             row = _csv_counts(raw, lineno, len(header))
         artists.append(name.strip())
@@ -610,6 +612,25 @@ def _parse_csv(text: str) -> StreamingProblem:
     if not artists:
         raise ParseError("no artist rows", line=2)
     return new_problem(artists, users, rows)
+
+
+def _whole_row(rest: str) -> tuple[int, ...]:
+    """The counts of one CSV row after its name, or () if a cell fails ``int`` or is too long.
+
+    ``int`` strips whitespace.  Cells two characters long or shorter on average repeat
+    their texts, so such a row converts each distinct text once and looks every cell up.
+    """
+    texts = rest.split(",")
+    # A row no longer than the digit cap holds no cell over it.
+    if len(rest) > MAX_INPUT_DIGITS and max(map(len, texts)) > MAX_INPUT_DIGITS:
+        return ()
+    try:
+        if len(rest) < 3 * len(texts):
+            made = {text: int(text) for text in set(texts)}
+            return tuple(map(made.__getitem__, texts))
+        return tuple(map(int, texts))
+    except ValueError:
+        return ()
 
 
 def _csv_counts(raw: str, lineno: int, fields: int) -> tuple[int, ...]:

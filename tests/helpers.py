@@ -71,6 +71,7 @@ from streamshare.game import (
 )
 from streamshare.indices import Index, rewards
 from streamshare.model import (
+    _exact_sum,
     _over_common_denominator,
     _trusted,
     problem_to_dict,
@@ -469,6 +470,17 @@ def reference_weighted_proportional(problem: MultiIssueClaims,
             (c / t * w * problem.endowment for c, t, w in zip(row, totals, weights) if c),
             Fraction(0)))
     return tuple(awards)
+
+
+# The proportional split before it ran on integers: one Fraction product per
+# positive claim, added up one agent row at a time over the rows as stored.  Kept
+# unchanged as the reference for the differential test of the integer split.
+def reference_proportional_split(problem: MultiIssueClaims,
+                                 budgets: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    ratios = [b / t for b, t in zip(budgets, problem.issue_totals())]
+    rows = vars(problem).get("_counts") or problem.claims
+    return tuple(_exact_sum([c * r for c, r in zip(row, ratios) if c.numerator])
+                 for row in rows)
 
 
 def reference_two_stage_rule(problem: MultiIssueClaims, issue_stage, agent_stage

@@ -36,6 +36,7 @@ from streamshare import (
 from streamshare.axioms import ProblemGenerator
 from streamshare.claims import (
     BANKRUPTCY_RULES,
+    _proportional_split,
     _stage,
     multi_issue_from_dict,
     multi_issue_to_dict,
@@ -45,6 +46,7 @@ from helpers import (
     reference_cea_rule,
     reference_issue_size_weights,
     reference_proportional_rule,
+    reference_proportional_split,
     reference_stage,
     reference_streaming_to_claims,
     reference_two_stage_rule,
@@ -821,3 +823,63 @@ def test_proportional_splits_skip_the_per_issue_loop(monkeypatch):
                 mc, weights)
     with pytest.raises(AssertionError, match="per-issue loop"):
         two_stage_rule(views[0], overspend_last, "proportional")
+
+
+def proportional_budgets(mc: MultiIssueClaims, rng: random.Random):
+    """Budgets to split: both weight functions', the cea stage's, one with a zero and
+    one above an issue's total."""
+    totals = mc.issue_totals()
+    for weights in (issue_size_weights, equal_issue_weights):
+        yield [w * mc.endowment for w in weights(totals, mc.endowment)]
+    yield list(cea_awards(BankruptcyProblem(mc.issues, totals, mc.endowment)))
+    yield [F(0), *(t * F(rng.randint(0, 9), 7) for t in totals[1:])]
+
+
+def test_proportional_split_matches_the_fraction_split():
+    rng = random.Random(56)
+    problems = [fractional_multi_issue(rng, rng.randint(1, 9), rng.randint(1, 9),
+                                       F(rng.randint(0, 10), 10)) for _ in range(10)]
+    for problem in (sparse_problem_with_silent_artists(57), wide_uniform_view_problem()):
+        for fee in (1, F(7, 3)):
+            problems += [streaming_to_claims(problem.with_fee(fee)),
+                         reference_streaming_to_claims(problem.with_fee(fee))]
+    for mc in problems:
+        for budgets in proportional_budgets(mc, rng):
+            awards = _proportional_split(mc, budgets)
+            assert awards == reference_proportional_split(mc, budgets)
+            assert all(type(a) is Fraction for a in awards)
+
+
+def fractions_made(run) -> int:
+    """How many Fractions ``run()`` makes: calls of the constructors of fractions.py."""
+    made = {Fraction.__new__.__code__}
+    if hasattr(Fraction, "_from_coprime_ints"):  # how CPython 3.12+ makes results
+        made.add(Fraction._from_coprime_ints.__func__.__code__)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in made:
+            calls.append(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return len(calls)
+
+
+def test_proportional_split_makes_one_fraction_per_agent():
+    """No Fraction per claim: the split makes one per agent, and the whole cea-then-
+    proportional rule at most one per agent and one per issue."""
+    problem = sparse_problem_with_silent_artists(58, fee=F(7, 3))
+    rng = random.Random(59)
+    for mc in (streaming_to_claims(problem), reference_streaming_to_claims(problem),
+               fractional_multi_issue(rng, 12, 40, F(3, 4))):
+        for budgets in proportional_budgets(mc, rng):
+            assert fractions_made(lambda: _proportional_split(mc, budgets)) == len(mc.agents)
+        assert fractions_made(lambda: two_stage_rule(mc, "cea", "proportional")) <= len(
+            mc.agents) + len(mc.issues)
+    # The profile sees the Fractions that arithmetic makes.
+    third, share = F(1, 3), F(3, 7)
+    assert fractions_made(lambda: third * share) == 1

@@ -197,6 +197,23 @@ def test_with_fee(two_user):
     assert two_user.with_fee(3).streams == two_user.streams
 
 
+@pytest.mark.parametrize("fee", [1, "7/3", 0, -1, "0/5", 0.5, "٣/4"])
+def test_with_fee_checks_only_the_fee_as_the_constructor_does(fee):
+    """A valid problem at a new fee is the constructor's problem, or fails with its error."""
+    def outcome(build):
+        try:
+            problem = build()
+        except Exception as exc:
+            return type(exc), str(exc)
+        return problem, {name: type(value) for name, value in vars(problem).items()}
+
+    for p in (two_user_problem(), three_user_problem(Fraction(5, 2))):
+        got = outcome(lambda: p.with_fee(fee))
+        assert got == outcome(lambda: StreamingProblem(p.artists, p.users, p.streams, fee))
+        if not isinstance(got[0], type):
+            assert p.with_fee(fee).streams is p.streams
+
+
 def test_select_users_preserves_order(three_user):
     q = three_user.select_users({"c", "a"})
     assert q.users == ("a", "c")

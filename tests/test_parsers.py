@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamshare import ProblemGenerator, new_problem, parse_problem, problem_from_dict
-from streamshare.model import problem_to_dict, serialize_problem
+from streamshare import (ParseError, ProblemGenerator, new_problem, parse_problem,
+                         problem_from_dict)
+from streamshare.model import MAX_INPUT_DIGITS, problem_to_dict, serialize_problem
 
 from helpers import (
     reference_new_problem,
@@ -342,3 +343,67 @@ def test_late_faults_in_a_large_catalog_construct_alike(cells, last_user, messag
     assert_constructor_agrees(LARGE.artists, users, streams, LARGE.fee)
     got = _outcome(lambda a: new_problem(*a), (LARGE.artists, users, streams, LARGE.fee))
     assert (got[1] if isinstance(got, tuple) else None) == message
+
+
+# A row of short cells converts each distinct cell text once and looks every cell up,
+# so these rows repeat their texts among zeros, with a fault or an odd cell among them.
+def _sparse_csv(*rows, width=16):
+    """CSV text of ``rows`` of cell texts, each padded with "0" cells to ``width``, and a
+    last row of ones, so that every user streams."""
+    lines = ["artist," + ",".join(f"u{j}" for j in range(width))]
+    for i, cells in enumerate([*rows, ["1"] * width]):
+        lines.append(f"r{i}," + ",".join([*cells, *["0"] * (width - len(cells))]))
+    return "\n".join(lines) + "\n"
+
+
+SPARSE_ROWS = {
+    "fault in a later row after repeated texts":
+        _sparse_csv(["5", "5", "7", "5"], ["5", "7", "x", "-3", "5", "x"]),
+    "negative after repeated texts": _sparse_csv(["1"] * 5, ["2", "2", "-2", "2", "-2"]),
+    "padded and bare five in one row": _sparse_csv([" 5", "5", "5 ", "\t5", "5"]),
+    "separator whitespace in two rows":
+        _sparse_csv(["\x1c5\x1c", "\x1c5\x1c", "1"], ["\x1c5\x1c", "3", "\x1c5\x1c"]),
+    "repeated negative zero": _sparse_csv(["-0", "-0", "3", "-0"], ["1"]),
+    "all-distinct dense row": _sparse_csv([str(10 ** 6 + 7 * j) for j in range(16)], ["1"]),
+    "all-distinct short row": _sparse_csv([str(j) for j in range(16)], ["1"] * 16),
+    "short row of repeated texts": _sparse_csv(["1", "1"], ["0", "1"], width=2) + "r3,1\n",
+}
+
+
+@pytest.mark.parametrize("text", SPARSE_ROWS.values(), ids=SPARSE_ROWS.keys())
+def test_rows_of_repeated_texts_parse_alike(text):
+    assert_csv_agrees(text)
+
+
+def test_a_cell_over_the_digit_cap_after_repeated_texts_is_named():
+    """The reference parser predates the digit cap, so this case pins the message."""
+    over = MAX_INPUT_DIGITS + 1
+    text = _sparse_csv(["5", "5", "1", "5"], ["5", "5", "1", "5", "1" * over, "x"])
+    with pytest.raises(ParseError) as caught:
+        parse_problem(text, "csv")
+    assert str(caught.value) == (f"line 3, field 6: stream count has {over} digits, "
+                                 f"over the {MAX_INPUT_DIGITS}-digit cap on one input number")
+
+
+def test_a_sparse_row_converts_each_distinct_text_once():
+    """Equal texts in one row share one int; the next row converts its own."""
+    problem = parse_problem(_sparse_csv(["1000", "1000", "7"], ["1000"]), "csv")
+    first, second, _ = problem.streams
+    assert first[0] == second[0] == 1000
+    assert first[0] is first[1]
+    assert first[0] is not second[0]
+
+
+SPARSE_CELLS = ["0", "0", "0", "0", "1", "7", "12", " 5", "5", "-0", "\x1c5\x1c", "+5", "1_0",
+                "٣", "x", "", "-2", "123456"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda width: st.lists(
+    st.lists(st.sampled_from(SPARSE_CELLS), min_size=width - 1, max_size=width + 1),
+    min_size=1, max_size=4)))
+def test_drawn_rows_of_repeated_texts_parse_alike(rows):
+    width = max(map(len, rows))
+    lines = ["artist," + ",".join(f"u{j}" for j in range(width))]
+    lines += [f"r{i}," + ",".join(cells) for i, cells in enumerate(rows)]
+    assert_csv_agrees("\n".join(lines) + "\n")
