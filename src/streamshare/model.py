@@ -605,32 +605,13 @@ def _parse_csv(text: str) -> StreamingProblem:
     for lineno, raw in enumerate(lines[1:], start=2):
         name, _, rest = raw.partition(",")
         row = _whole_row(rest)
-        if len(row) != len(users) or min(row) < 0:
+        if len(row) != len(users):
             row = _csv_counts(raw, lineno, len(header))
         artists.append(name.strip())
         rows.append(row)
     if not artists:
         raise ParseError("no artist rows", line=2)
     return new_problem(artists, users, rows)
-
-
-def _whole_row(rest: str) -> tuple[int, ...]:
-    """The counts of one CSV row after its name, or () if a cell fails ``int`` or is too long.
-
-    ``int`` strips whitespace.  Cells two characters long or shorter on average repeat
-    their texts, so such a row converts each distinct text once and looks every cell up.
-    """
-    texts = rest.split(",")
-    # A row no longer than the digit cap holds no cell over it.
-    if len(rest) > MAX_INPUT_DIGITS and max(map(len, texts)) > MAX_INPUT_DIGITS:
-        return ()
-    try:
-        if len(rest) < 3 * len(texts):
-            made = {text: int(text) for text in set(texts)}
-            return tuple(map(made.__getitem__, texts))
-        return tuple(map(int, texts))
-    except ValueError:
-        return ()
 
 
 def _csv_counts(raw: str, lineno: int, fields: int) -> tuple[int, ...]:
@@ -721,3 +702,25 @@ def serialize_problem(problem: StreamingProblem, format: str) -> str:
     if format == "csv":
         return _serialize_csv(problem)
     return json.dumps(problem_to_dict(problem), indent=2) + "\n"
+
+
+def _whole_row(rest: str) -> tuple[int, ...]:
+    """The counts of one CSV row after its name, or () if a cell fails ``int``, is too long
+    or is negative.
+
+    ``int`` strips whitespace.  Cells two characters long or shorter on average repeat
+    their texts, so such a row converts and sign-checks each distinct text once, then looks
+    every cell up.
+    """
+    texts = rest.split(",")
+    # A row no longer than the digit cap holds no cell over it.
+    if len(rest) > MAX_INPUT_DIGITS and max(map(len, texts)) > MAX_INPUT_DIGITS:
+        return ()
+    try:
+        if 1 < len(texts) and len(rest) < 3 * len(texts):
+            made = {text: int(text) for text in set(texts)}
+            return itemgetter(*texts)(made) if min(made.values()) >= 0 else ()
+        row = tuple(map(int, texts))
+    except ValueError:
+        return ()
+    return row if min(row) >= 0 else ()
