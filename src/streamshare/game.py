@@ -54,6 +54,13 @@ def _amounts(allocation: Allocation | Sequence[Fraction], n: int) -> tuple[Fract
     return values
 
 
+def _coalition_mask(mask: int, size: int, what: str) -> int:
+    """``mask`` itself if it is an int in range(size); a bool or -1 is refused."""
+    if type(mask) is not int or not 0 <= mask < size:
+        raise DimensionMismatch(f"{what} {mask!r} is not a coalition mask in range({size})")
+    return mask
+
+
 def _members(players: tuple[str, ...], mask: int) -> tuple[str, ...]:
     """The players whose bits are set in ``mask``, in player order."""
     return tuple(p for i, p in enumerate(players) if mask >> i & 1)
@@ -96,7 +103,8 @@ class CoalitionalGame(_CoalitionTable):
         return len(self.players)
 
     def value(self, mask: int) -> Fraction:
-        return Fraction(self._integers[1][mask], self._integers[0])
+        d, worths = self._integers
+        return Fraction(worths[_coalition_mask(mask, len(worths), "mask")], d)
 
     def mask_of(self, coalition: Iterable[str]) -> int:
         mask = 0
@@ -307,7 +315,8 @@ class DividendTable(_CoalitionTable):
     _field, _what = "dividends", "dividend"
 
     def of(self, mask: int) -> Fraction:
-        return Fraction(self._integers[1][mask], self._integers[0])
+        d, dividends = self._integers
+        return Fraction(dividends[_coalition_mask(mask, len(dividends), "mask")], d)
 
     def nonzero(self) -> list[tuple[int, Fraction]]:
         d, numerators = self._integers
@@ -333,10 +342,7 @@ def reconstruct_from_dividends(
         _check_cap(len(players), "players")
         values = [Fraction(0)] * (1 << len(players))
         for mask, value in dividends.items():
-            if type(mask) is not int or not 0 <= mask < len(values):
-                raise DimensionMismatch(
-                    f"dividend key {mask!r} is not a coalition mask in range({len(values)})")
-            values[mask] = value
+            values[_coalition_mask(mask, len(values), "dividend key")] = value
         dividends = DividendTable(players, values)
     d, table = dividends._integers
     table = list(table)

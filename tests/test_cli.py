@@ -28,7 +28,7 @@ from streamshare import harsanyi_dividends, parse_problem, streaming_game
 from streamshare.axioms import ProblemGenerator
 from streamshare.cli import (EXIT_INPUT, EXIT_INTERNAL, MAX_PRECISION, _CHUNKS_PER_WRITE,
                              _echo_json, _json_chunks, cli)
-from streamshare.game import FlowCoreResult, dividends_to_dict
+from streamshare.game import FlowCoreResult, dividends_to_dict, game_to_dict, is_supermodular
 from streamshare.model import problem_to_dict
 
 from helpers import reference_game_table
@@ -510,6 +510,51 @@ def test_game_dividends_are_the_listened_set_histogram(runner, tmp_path, fee):
         expected = dividends_to_dict(harsanyi_dividends(game))["dividends"]
         assert list(json.loads(result.output)["dividends"].items()) == list(expected.items())
         assert invoke(runner, "game", "-i", str(path)).output == reference_game_table(game)
+
+
+@pytest.mark.parametrize("fee", [Fraction(1), Fraction(7, 3)])
+def test_game_states_supermodularity_without_running_the_check(runner, tmp_path, monkeypatch,
+                                                               fee):
+    """Every dividend `game` prints is users * fee >= 0, so it never calls is_supermodular."""
+    path = tmp_path / "catalog.csv"
+    path.write_text(unequal_names_catalog_csv(9))
+    problem = parse_problem(path.read_bytes(), "csv").with_fee(fee)
+    game = streaming_game(problem)
+    table = reference_game_table(game)
+    dividends = dividends_to_dict(harsanyi_dividends(game))["dividends"]
+    answer = json.dumps(dict(game_to_dict(game), dividends=dividends, supermodular=True),
+                        indent=2) + "\n"
+
+    def refuse(game):
+        raise AssertionError("the game command ran the supermodularity check")
+
+    monkeypatch.setattr("streamshare.game.is_supermodular", refuse)
+    result = invoke(runner, "game", "-i", str(path), "--fee", str(fee), "-o", "json")
+    assert result.exit_code == 0 and result.output == answer
+    result = invoke(runner, "game", "-i", str(path), "--fee", str(fee))
+    assert result.exit_code == 0 and result.output == table
+
+
+@pytest.mark.parametrize("fee", [Fraction(1), Fraction(7, 3)])
+def test_streaming_games_have_nonnegative_dividends_and_are_supermodular(runner, tmp_path,
+                                                                          fee):
+    """The theorem behind the constant verdict of `game`.
+
+    A streaming game's Harsanyi dividend on S is the fee times the number of
+    users whose listened set is S, so the game is a nonnegative sum of
+    unanimity games, and such a game is convex: its marginal contributions
+    grow with the coalition (Shapley 1971, "Cores of convex games").
+    """
+    path = tmp_path / "problem.json"
+    generator = ProblemGenerator(seed=35, max_artists=9, max_users=9, fee=fee)
+    for problem in generator.sample(200):
+        game = streaming_game(problem)
+        assert all(value >= 0 for value in harsanyi_dividends(game).dividends)
+        assert is_supermodular(game).holds
+        path.write_text(json.dumps(problem_to_dict(problem)))
+        result = invoke(runner, "game", "-i", str(path), "-o", "json")
+        assert result.exit_code == 0
+        assert json.loads(result.output)["supermodular"] is True
 
 
 # The full user-centric core-check on the same catalog, flow decomposition

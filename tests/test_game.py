@@ -277,6 +277,16 @@ def test_reconstruct_rejects_dividend_keys_that_are_not_masks(mask):
         reconstruct_from_dividends({0b10: F(1), mask: F(1)}, players=("x", "y"))
 
 
+@pytest.mark.parametrize("mask", [-1, 4, 1 << 40, "1", 1.0, True, None])
+def test_coalition_lookups_refuse_masks_that_are_not_coalitions(two_user, mask):
+    """-1 and True are not read as the grand coalition and the first artist."""
+    game = streaming_game(two_user)
+    for lookup in (game.value, harsanyi_dividends(game).of):
+        with pytest.raises(DimensionMismatch,
+                           match=re.escape(f"mask {mask!r} is not a coalition mask in range(4)")):
+            lookup(mask)
+
+
 @pytest.mark.parametrize("n", [21, 40])
 def test_reconstruct_checks_the_player_cap_before_allocating(n):
     players = tuple(f"p{i}" for i in range(n))
